@@ -1,8 +1,10 @@
 #include "exp/driver.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,10 +41,6 @@ struct CliOptions {
      *  like --shards — byte-identical on or off — kept as a flag
      *  for A/B benchmarking; resume may override it freely. */
     bool routeCache = true;
-    /** Commit-wavefront width (sim.wavefront). An execution knob
-     *  like --shards — byte-identical at any width — so resume may
-     *  override it freely. */
-    int wavefront = 0;
     /** Routing policy (sim.policy). NOT an execution knob:
      *  non-greedy policies change simulated events, so the value
      *  is part of the sweep — recorded in checkpoint meta.json and
@@ -102,11 +100,6 @@ printUsage(std::FILE *to)
         "                 reports are byte-identical at any N)\n"
         "  --route-cache on|off  memoized route plane (default on;\n"
         "                 reports are byte-identical either way)\n"
-        "  --wavefront N  commit-wavefront width: up to N per-node\n"
-        "                 decide stages in flight ahead of the\n"
-        "                 serial commit cursor (default 0 = serial\n"
-        "                 walk; reports are byte-identical at any "
-        "N)\n"
         "  --policy P    routing policy: greedy | ugal | "
         "table_oracle\n"
         "                 (default greedy; non-greedy changes "
@@ -138,8 +131,8 @@ printUsage(std::FILE *to)
         "interrupt,\n"
         "                 exit 3); finish with `sfx resume DIR`\n"
         "\n"
-        "resume options: --jobs, --shards, --route-cache, "
-        "--wavefront, --out, --timing, --quiet, --max-runs\n"
+        "resume options: --jobs, --shards, --route-cache, --out, "
+        "--timing, --quiet, --max-runs\n"
         "(pattern, effort, seed, policy, --reconfig-schedule, and "
         "--runs come from the checkpoint's meta.json)\n"
         "\n"
@@ -166,6 +159,31 @@ printUsage(std::FILE *to)
         "(valid entries always survive; a gc never changes what "
         "resume computes)\n",
         static_cast<unsigned long long>(kBaseSeed));
+}
+
+/** Parse @p v as a count flag's value: a decimal integer in
+ *  [1, INT_MAX], checked like --seed (strtoull with errno and
+ *  end-pointer checks). On a bad value, prints a message naming
+ *  @p flag and returns false. */
+bool
+parseCount(const char *flag, const char *v, int &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    // strtoull accepts a sign and negates, so demand a leading
+    // digit.
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) ||
+        errno != 0 || *end != '\0' || n < 1 ||
+        n > static_cast<unsigned long long>(INT_MAX)) {
+        std::fprintf(stderr,
+                     "sfx: %s needs an integer in [1, %d], got "
+                     "'%s'\n",
+                     flag, INT_MAX, v);
+        return false;
+    }
+    out = static_cast<int>(n);
+    return true;
 }
 
 /** Parse options shared by `sfx run`, `sfx resume`, and the bench
@@ -207,32 +225,14 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
             char *v = need_value("--jobs");
             if (!v)
                 return false;
-            opts.jobs = std::atoi(v);
-            if (opts.jobs < 1) {
-                std::fprintf(stderr,
-                             "sfx: --jobs must be >= 1\n");
+            if (!parseCount("--jobs", v, opts.jobs))
                 return false;
-            }
         } else if (arg == "--shards") {
             char *v = need_value("--shards");
             if (!v)
                 return false;
-            opts.shards = std::atoi(v);
-            if (opts.shards < 1) {
-                std::fprintf(stderr,
-                             "sfx: --shards must be >= 1\n");
+            if (!parseCount("--shards", v, opts.shards))
                 return false;
-            }
-        } else if (arg == "--wavefront") {
-            char *v = need_value("--wavefront");
-            if (!v)
-                return false;
-            opts.wavefront = std::atoi(v);
-            if (opts.wavefront < 0) {
-                std::fprintf(stderr,
-                             "sfx: --wavefront must be >= 0\n");
-                return false;
-            }
         } else if (arg == "--route-cache") {
             char *v = need_value("--route-cache");
             if (!v)
@@ -320,12 +320,9 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
             char *v = need_value("--max-runs");
             if (!v)
                 return false;
-            const int n = std::atoi(v);
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "sfx: --max-runs must be >= 1\n");
+            int n = 0;
+            if (!parseCount("--max-runs", v, n))
                 return false;
-            }
             opts.maxRuns = static_cast<std::size_t>(n);
         } else if (arg == "--timing") {
             opts.timing = true;
@@ -464,7 +461,6 @@ doRun(const CliOptions &opts)
     sched.jobs = opts.jobs;
     sched.shards = opts.shards;
     sched.routeCache = opts.routeCache;
-    sched.wavefront = opts.wavefront;
     sched.policy = opts.policy;
     sched.effort = opts.effort;
     sched.baseSeed = opts.baseSeed;
@@ -592,7 +588,6 @@ doRun(const CliOptions &opts)
         ropts.baseSeed = opts.baseSeed;
         ropts.jobs = opts.jobs;
         ropts.shards = opts.shards;
-        ropts.wavefront = opts.wavefront;
         ropts.policy = opts.policy;
         ropts.includeTiming = opts.timing;
         try {

@@ -74,7 +74,6 @@ adaptiveSpec()
                     cfg.seed = rc.seed;
                     cfg.shards = rc.shards;
                     cfg.routeCache = rc.routeCache;
-                    cfg.wavefront = rc.wavefront;
                     cfg.policy = rc.policy;
                     cfg.adaptive = adaptive;
                     Json m = Json::object();
@@ -124,7 +123,6 @@ balanceSpec()
                 cfg.seed = rc.seed;
                 cfg.shards = rc.shards;
                 cfg.routeCache = rc.routeCache;
-                cfg.wavefront = rc.wavefront;
                 cfg.policy = rc.policy;
                 Json m = Json::object();
                 m.set("avg_hops", stats.average);
@@ -289,7 +287,6 @@ unidirSpec()
                     cfg.seed = rc.seed;
                     cfg.shards = rc.shards;
                     cfg.routeCache = rc.routeCache;
-                    cfg.wavefront = rc.wavefront;
                     cfg.policy = rc.policy;
                     Json m = Json::object();
                     m.set("avg_hops",

@@ -44,7 +44,6 @@ simConfigFor(const RunContext &rc)
     cfg.seed = rc.seed;
     cfg.shards = rc.shards;
     cfg.routeCache = rc.routeCache;
-    cfg.wavefront = rc.wavefront;
     cfg.policy = rc.policy;
     return cfg;
 }

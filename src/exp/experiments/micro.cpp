@@ -376,22 +376,11 @@ resetPeakRss()
  * perf-smoke CI job archives the report so the trajectory is
  * visible PR over PR.
  *
- * The per-point `wavefront` rows run the serial engine with
- * SimConfig::profileWavefront and report the measured commit-
- * wavefront cost model (ROADMAP item 5): arbitration-walk length
- * and graph-adjacent dependency-chain depth per cycle. Their
- * ratio (avg_walk / avg_depth) bounds the speedup any order-
- * preserving out-of-order arbitration schedule could extract.
- *
  * The per-point `phases` rows run the serial engine with
  * SimConfig::profilePhases and report wall time per pipeline phase
- * of docs/engine_phases.md (land / snapshot / route / arbitrate-
- * decide / commit, ns per cycle), so any wavefront speedup — or
- * its absence — is attributable to the phase it did or didn't
- * shrink. The `w<N>` rows are the wavefront engine's own
- * wall-clock twins of the shard rows: cfg.wavefront = N over a
- * private N-thread pool, same metric set as the `s<N>` rows so
- * cycles_per_sec compares directly against the serial `s1` row.
+ * of docs/engine_phases.md (land / snapshot / route / arbitrate,
+ * ns per cycle), so a speedup is attributable to the phase it
+ * shrank.
  */
 ExperimentSpec
 microSimulatorSpec()
@@ -411,12 +400,6 @@ microSimulatorSpec()
         const std::vector<int> shard_counts =
             pick<std::vector<int>>(ctx.effort, {1, 2},
                                    {1, 2, 4, 8}, {1, 2, 4, 8});
-        // Commit-wavefront widths for the `w<N>` wall-clock rows;
-        // like the shard counts, quick keeps one CI-sized width and
-        // the wider ones need real cores.
-        const std::vector<int> wavefront_widths =
-            pick<std::vector<int>>(ctx.effort, {2}, {2, 4, 8},
-                                   {2, 4, 8});
         std::vector<RunSpec> runs;
         // Beyond-saturation rates trip the backlog early-abort
         // within a few hundred cycles and measure almost nothing,
@@ -522,54 +505,6 @@ microSimulatorSpec()
                 runs.push_back(std::move(run));
               }
             }
-            // Commit-wavefront cost model row (ROADMAP item 5):
-            // one serial profiled run per load point. Reported
-            // metrics are pure functions of the deterministic
-            // event stream; only this experiment's wall-clock
-            // framing keeps them out of byte-identity gates.
-            {
-                RunSpec run;
-                run.id = fmt("n1024/uniform/%s/wavefront",
-                             point.label);
-                run.params.set("nodes", 1024);
-                run.params.set("pattern", "uniform");
-                run.params.set("load", point.label);
-                run.params.set("rate", point.rate);
-                run.params.set("op", "wavefront_profile");
-                const double rate = point.rate;
-                const std::string point_id =
-                    fmt("n1024/uniform/%s", point.label);
-                run.body = [rate,
-                            point_id](const RunContext &rc) -> Json {
-                    const auto topo = topos::cachedTopology(
-                        topos::TopoKind::SF, 1024, rc.baseSeed);
-                    sim::SimConfig cfg;
-                    cfg.seed = deriveSeed("micro_simulator",
-                                          point_id, rc.baseSeed);
-                    cfg.profileWavefront = true;
-                    const auto result = sim::runSynthetic(
-                        *topo,
-                        sim::TrafficPattern::UniformRandom, rate,
-                        cfg, sim::RunPhases::latencyCurve());
-                    Json m = Json::object();
-                    m.set("wavefront_cycles",
-                          result.wavefrontCycles);
-                    m.set("avg_walk", result.wavefrontAvgWalk);
-                    m.set("max_walk", result.wavefrontMaxWalk);
-                    m.set("avg_depth", result.wavefrontAvgDepth);
-                    m.set("max_depth", result.wavefrontMaxDepth);
-                    m.set("walk_over_depth",
-                          result.wavefrontAvgDepth > 0.0
-                              ? result.wavefrontAvgWalk /
-                                    result.wavefrontAvgDepth
-                              : 0.0);
-                    m.set("simulated_cycles",
-                          static_cast<std::uint64_t>(
-                              result.simulatedCycles));
-                    return m;
-                };
-                runs.push_back(std::move(run));
-            }
             // Per-phase wall-time breakdown (serial engine,
             // SimConfig::profilePhases): where each simulated
             // cycle's nanoseconds actually go, phase by phase of
@@ -617,87 +552,13 @@ microSimulatorSpec()
                           static_cast<double>(
                               result.phaseRouteNs) /
                               cycles);
-                    m.set("decide_ns_per_cycle",
+                    m.set("arbitrate_ns_per_cycle",
                           static_cast<double>(
                               result.phaseDecideNs) /
                               cycles);
-                    m.set("commit_ns_per_cycle",
-                          static_cast<double>(
-                              result.phaseCommitNs) /
-                              cycles);
                     m.set("simulated_cycles",
                           static_cast<std::uint64_t>(
                               result.simulatedCycles));
-                    return m;
-                };
-                runs.push_back(std::move(run));
-            }
-            // Wavefront-engine wall-clock rows: the decide/commit
-            // pipeline at width N over a private N-thread pool,
-            // same metrics as the shard rows so cycles_per_sec
-            // compares against the serial s1 row directly.
-            for (const int width : wavefront_widths) {
-                RunSpec run;
-                run.id = fmt("n1024/uniform/%s/w%d", point.label,
-                             width);
-                run.params.set("nodes", 1024);
-                run.params.set("pattern", "uniform");
-                run.params.set("load", point.label);
-                run.params.set("rate", point.rate);
-                run.params.set("wavefront", width);
-                run.params.set("reps", reps);
-                const double rate = point.rate;
-                const std::string point_id =
-                    fmt("n1024/uniform/%s", point.label);
-                run.body = [rate, reps, width,
-                            point_id](const RunContext &rc) -> Json {
-                    resetPeakRss();
-                    const auto topo = topos::cachedTopology(
-                        topos::TopoKind::SF, 1024, rc.baseSeed);
-                    sim::SimConfig cfg;
-                    cfg.seed = deriveSeed("micro_simulator",
-                                          point_id, rc.baseSeed);
-                    cfg.wavefront = width;
-                    WorkPool pool(width);
-                    const auto phases =
-                        sim::RunPhases::latencyCurve();
-                    using clock = std::chrono::steady_clock;
-                    double best_s = 0.0;
-                    double sum_s = 0.0;
-                    sim::RunResult result;
-                    for (int r = 0; r < reps; ++r) {
-                        const auto start = clock::now();
-                        result = sim::runSynthetic(
-                            *topo,
-                            sim::TrafficPattern::UniformRandom,
-                            rate, cfg, phases, &pool);
-                        const double s =
-                            std::chrono::duration<double>(
-                                clock::now() - start)
-                                .count();
-                        sum_s += s;
-                        if (r == 0 || s < best_s)
-                            best_s = s;
-                    }
-                    Json m = Json::object();
-                    m.set("cycles_per_sec",
-                          best_s > 0.0
-                              ? static_cast<double>(
-                                    result.simulatedCycles) /
-                                    best_s
-                              : 0.0);
-                    m.set("wall_s_min", best_s);
-                    m.set("wall_s_mean",
-                          sum_s / static_cast<double>(reps));
-                    m.set("simulated_cycles",
-                          static_cast<std::uint64_t>(
-                              result.simulatedCycles));
-                    m.set("measured_packets",
-                          result.measuredPackets);
-                    m.set("flit_hops", result.flitHops);
-                    m.set("saturated", result.saturated);
-                    m.set("process_peak_rss_kb",
-                          processPeakRssKb());
                     return m;
                 };
                 runs.push_back(std::move(run));

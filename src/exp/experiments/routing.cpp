@@ -104,7 +104,6 @@ routingBakeoffSpec()
                             cfg.seed = rc.seed;
                             cfg.shards = rc.shards;
                             cfg.routeCache = rc.routeCache;
-                            cfg.wavefront = rc.wavefront;
                             // The cell's policy, not the global
                             // --policy knob: the bake-off races
                             // policies against each other inside

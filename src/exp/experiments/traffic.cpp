@@ -37,7 +37,6 @@ simConfigFor(const RunContext &rc)
     // so execution knobs like jobs, not grid parameters.
     cfg.shards = rc.shards;
     cfg.routeCache = rc.routeCache;
-    cfg.wavefront = rc.wavefront;
     cfg.policy = rc.policy;
     return cfg;
 }

@@ -25,8 +25,6 @@ buildReport(const std::vector<ExperimentResults> &experiments,
         report.set("jobs", static_cast<std::int64_t>(opts.jobs));
         report.set("shards",
                    static_cast<std::int64_t>(opts.shards));
-        report.set("wavefront",
-                   static_cast<std::int64_t>(opts.wavefront));
     }
 
     Json exps = Json::array();

@@ -37,9 +37,6 @@ struct ReportOptions {
     /** Route-plane shards the sweep ran with; like jobs, only
      *  recorded under includeTiming (it cannot affect results). */
     int shards = 1;
-    /** Commit-wavefront width the sweep ran with; like jobs and
-     *  shards, only recorded under includeTiming. */
-    int wavefront = 0;
     /**
      * Routing policy the sweep ran with. Unlike jobs/shards it
      * CAN affect results, so a non-greedy value is always recorded

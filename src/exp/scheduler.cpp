@@ -65,8 +65,6 @@ runExperiment(const ExperimentSpec &exp,
             ctx.executor = &pool;
             ctx.shards = opts.shards > 0 ? opts.shards : 1;
             ctx.routeCache = opts.routeCache;
-            ctx.wavefront =
-                opts.wavefront > 0 ? opts.wavefront : 0;
             ctx.policy = opts.policy;
             result.seed = ctx.seed;
             const auto progress = [&] {

@@ -54,9 +54,6 @@ struct SchedulerOptions {
     /** Memoized route plane (RunContext::routeCache); results are
      *  identical on or off, like jobs and shards. */
     bool routeCache = true;
-    /** Commit-wavefront width (RunContext::wavefront); results
-     *  are identical at any width, like jobs and shards. */
-    int wavefront = 0;
     /** Routing policy (RunContext::policy). Changes results for
      *  non-greedy values — a sweep parameter, not an execution
      *  knob like jobs/shards/routeCache. */

@@ -96,14 +96,11 @@ struct RunContext {
      */
     bool routeCache = true;
     /**
-     * Commit-wavefront width (`sfx --wavefront`,
-     * sim::SimConfig::wavefront): bodies that run the flit
-     * simulator should copy this into their SimConfig and pass
-     * `executor` through. The wavefront scheduler only changes
-     * which thread runs a node's decide stage — commits replay in
-     * exact serial σ-order — so results are byte-identical at
-     * every width, and like shards/routeCache it is an execution
-     * knob, never part of the run grid or the spec hash.
+     * Removed knob: always 0, and nothing in the library sets or
+     * reads it (the commit-wavefront scheduler was deleted). Kept
+     * only because the frozen benchmark (perfbench/sfbench.cpp)
+     * copies it into sim::SimConfig::wavefront; to be deleted by
+     * the next change that may edit perfbench/.
      */
     int wavefront = 0;
     /**

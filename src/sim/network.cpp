@@ -5,7 +5,6 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 namespace sf::sim {
 
@@ -27,25 +26,6 @@ const auto kLaterFirst = [](const auto &a, const auto &b) {
  */
 constexpr std::size_t kRoutePhaseMinJobs = 32;
 
-/**
- * Wavefront fan-out floor: below this many active nodes the
- * arbitration phase runs the serial decide→commit loop even when a
- * wavefront executor is set — an Executor batch costs more than the
- * walk at light load. Results are identical either way (the commit
- * replay is σ-ordered in both paths), so the threshold is a pure
- * wall-clock knob. Low enough that n = 64 test topologies exercise
- * the parallel path near saturation.
- */
-constexpr std::size_t kWavefrontMinWalk = 32;
-
-/** Lifecycle phases packed into WavefrontJob::tag (pos * 4 + phase).
- *  Tag transitions for one σ-position: Ready → Claimed → Done; a
- *  refilled ring slot carries a strictly larger position, so a CAS
- *  on the exact observed tag can never claim a stale job (no ABA). */
-constexpr std::uint64_t kWfReady = 1;
-constexpr std::uint64_t kWfClaimed = 2;
-constexpr std::uint64_t kWfDone = 3;
-
 std::uint64_t
 elapsedNs(std::chrono::steady_clock::time_point from,
           std::chrono::steady_clock::time_point to)
@@ -64,6 +44,10 @@ NetworkModel::NetworkModel(const net::Topology &topo,
       escapeBase_(topo.numVcClasses() * kNumMsgClasses),
       rng_(cfg.seed)
 {
+    if (cfg.wavefront != 0)
+        throw std::invalid_argument(
+            "SimConfig::wavefront must be 0: the commit-wavefront "
+            "scheduler was removed and arbitration is serial");
     const std::size_t n = topo.numNodes();
     const std::size_t links = topo.graph().numLinks();
     linkBusyUntil_.assign(links, 0);
@@ -83,17 +67,6 @@ NetworkModel::NetworkModel(const net::Topology &topo,
     pendingArrivals_.assign(n, 0);
     activeVcs_.resize(n);
     nodeActive_.assign(n, 0);
-    if (cfg.profileWavefront) {
-        wfStamp_.assign(n, 0);
-        wfDepth_.assign(n, 0);
-    }
-    anyGated_ = false;
-    for (NodeId u = 0; u < topo.numNodes(); ++u) {
-        if (!topo.nodeAlive(u)) {
-            anyGated_ = true;
-            break;
-        }
-    }
     policy_ = core::makeRoutingPolicy(cfg.policy, topo);
     if (policy_->congestionAware()) {
         // Sized once; re-filled (never resized) each cycle, so the
@@ -121,14 +94,6 @@ void
 NetworkModel::inject(NodeId src, NodeId dst, int flits, MsgClass mc,
                      Cycle now, std::uint64_t payload, bool measured)
 {
-    if (wfInWalk_) {
-        // Decide stages may be reading the packet pool on Executor
-        // workers, and alloc() can grow the pool's slab vector.
-        // Handlers must buffer and inject between steps (every
-        // workload already does).
-        throw std::logic_error(
-            "NetworkModel::inject during the wavefront walk");
-    }
     const std::uint32_t slot = pool_.alloc();
     Packet &p = pool_.at(slot);
     p.id = nextPacketId_++;
@@ -194,13 +159,6 @@ NetworkModel::onTopologyChanged()
 {
     updown_.reset();
     ++stats_.topologyEpochs;
-    anyGated_ = false;
-    for (NodeId u = 0; u < topo_->numNodes(); ++u) {
-        if (!topo_->nodeAlive(u)) {
-            anyGated_ = true;
-            break;
-        }
-    }
     // Epoch barrier: a precomputed route is only provably the value
     // the serial loop would compute while the topology is immutable,
     // so no route may outlive its epoch. The sharded plane can have
@@ -245,34 +203,6 @@ NetworkModel::setRouteExecutor(Executor *executor)
     routeTasks_.clear();
     if (routeExecutor_)
         routeWork_.resize(static_cast<std::size_t>(cfg_.shards));
-}
-
-void
-NetworkModel::setWavefrontExecutor(Executor *executor)
-{
-    wavefrontExecutor_ =
-        (executor && cfg_.wavefront > 0) ? executor : nullptr;
-    wfJobs_.clear();
-    wfTasks_.clear();
-    if (!wavefrontExecutor_)
-        return;
-    const std::size_t n = topo_->numNodes();
-    const std::size_t width =
-        static_cast<std::size_t>(cfg_.wavefront);
-    wfJobs_.reserve(width);
-    for (std::size_t i = 0; i < width; ++i)
-        wfJobs_.push_back(std::make_unique<WavefrontJob>());
-    wfSeqStamp_.assign(n, 0);
-    wfSeqIdx_.assign(n, 0);
-    // One driver (commits in σ-order, runs unclaimed decides
-    // inline) plus width-1 opportunistic decide workers. WorkPool
-    // hands tasks out in submission order and the caller
-    // participates, so even with every worker thread busy
-    // elsewhere the driver alone completes the walk.
-    wfTasks_.reserve(width);
-    wfTasks_.push_back([this] { wavefrontDriver(); });
-    for (std::size_t i = 1; i < width; ++i)
-        wfTasks_.push_back([this] { wavefrontWorker(); });
 }
 
 void
@@ -444,13 +374,11 @@ NetworkModel::activateNode(NodeId node)
 void
 NetworkModel::step(Cycle now)
 {
-    // The five-phase pipeline (file header, docs/engine_phases.md):
-    // Land → Snapshot → Route → Arbitrate(decide) → Commit. The
-    // phase boundaries are exactly the barriers the interleaved
-    // loop already respected, so the decomposition changes no
-    // simulated event; cfg_.profilePhases adds steady-clock
-    // accounting per phase (decide/commit are timed inside the
-    // serial walk).
+    // The four-phase pipeline (file header, docs/engine_phases.md):
+    // Land → Snapshot → Route → Arbitrate. The phase boundaries are
+    // exactly the barriers the interleaved loop already respected,
+    // so the decomposition changes no simulated event;
+    // cfg_.profilePhases adds steady-clock accounting per phase.
     if (cfg_.profilePhases) {
         using Clock = std::chrono::steady_clock;
         const Clock::time_point t0 = Clock::now();
@@ -460,18 +388,21 @@ NetworkModel::step(Cycle now)
         const Clock::time_point t2 = Clock::now();
         phaseRoute(now);
         const Clock::time_point t3 = Clock::now();
+        phaseArbitrate(now);
+        const Clock::time_point t4 = Clock::now();
         stats_.phaseLandNs += elapsedNs(t0, t1);
         stats_.phaseSnapshotNs += elapsedNs(t1, t2);
         stats_.phaseRouteNs += elapsedNs(t2, t3);
+        stats_.phaseArbitrateNs += elapsedNs(t3, t4);
         ++stats_.phaseProfiledCycles;
     } else {
         phaseLand(now);
         phaseSnapshot(now);
         phaseRoute(now);
+        phaseArbitrate(now);
     }
-    phaseArbitrate(now);
 
-    // Deadlock watchdog (after commit: lastProgress_ is final).
+    // Deadlock watchdog (after arbitration: lastProgress_ is final).
     if (inFlight() == 0) {
         lastProgress_ = now;
     } else if (now - lastProgress_ > cfg_.watchdogCycles) {
@@ -551,62 +482,11 @@ NetworkModel::phaseRoute(Cycle now)
 void
 NetworkModel::phaseArbitrate(Cycle now)
 {
-    // The wavefront scheduler pays an Executor batch per engaged
-    // cycle; below the fan-out floor the serial loop wins outright.
-    // profilePhases forces the serial walk — per-node decide/commit
-    // timings summed across concurrent workers would be noise.
-    if (wavefrontExecutor_ && !cfg_.profilePhases &&
-        activeNodes_.size() >= kWavefrontMinWalk) {
-        phaseArbitrateWavefront(now);
-        return;
-    }
-    phaseArbitrateSerial(now, cfg_.profilePhases);
-}
-
-void
-NetworkModel::phaseArbitrateSerial(Cycle now, bool time_phases)
-{
-    using Clock = std::chrono::steady_clock;
-    const bool profile =
-        cfg_.profileWavefront && !activeNodes_.empty();
-    std::uint64_t wfWalked = 0;
-    std::uint64_t wfCycleDepth = 0;
+    // The σ-order walk: activeNodes_ with swap-removal compaction.
+    // Its order is part of the total event order (file header).
     for (std::size_t i = 0; i < activeNodes_.size();) {
         const NodeId node = activeNodes_[i];
-        if (profile) {
-            // Dependency-chain depth of the walk in its real
-            // order: this node depends on every graph-adjacent
-            // node already arbitrated this cycle (their drains and
-            // reservations touch link/VC state this node reads).
-            ++wfWalked;
-            const Cycle stamp = now + 1;
-            std::uint32_t depth = 1;
-            const net::Graph &g = topo_->graph();
-            const auto relax = [&](NodeId v) {
-                if (wfStamp_[v] == stamp)
-                    depth = std::max(depth, wfDepth_[v] + 1);
-            };
-            for (const LinkId l : g.outLinks(node))
-                relax(g.link(l).dst);
-            for (const LinkId l : g.inLinks(node))
-                relax(g.link(l).src);
-            wfStamp_[node] = stamp;
-            wfDepth_[node] = depth;
-            wfCycleDepth = std::max<std::uint64_t>(wfCycleDepth,
-                                                   depth);
-        }
-        serialFx_.clear();
-        if (time_phases) {
-            const Clock::time_point t0 = Clock::now();
-            decideNode(node, now, serialFx_);
-            const Clock::time_point t1 = Clock::now();
-            commitNode(node, now, serialFx_);
-            stats_.phaseDecideNs += elapsedNs(t0, t1);
-            stats_.phaseCommitNs += elapsedNs(t1, Clock::now());
-        } else {
-            decideNode(node, now, serialFx_);
-            commitNode(node, now, serialFx_);
-        }
+        arbitrateNode(node, now);
         if (activeVcs_[node].empty() && sourceQueue_[node].empty()) {
             nodeActive_[node] = 0;
             activeNodes_[i] = activeNodes_.back();
@@ -615,19 +495,10 @@ NetworkModel::phaseArbitrateSerial(Cycle now, bool time_phases)
             ++i;
         }
     }
-    if (profile && wfWalked > 0) {
-        ++stats_.wavefrontCycles;
-        stats_.wavefrontNodesWalked += wfWalked;
-        stats_.wavefrontMaxWalk =
-            std::max(stats_.wavefrontMaxWalk, wfWalked);
-        stats_.wavefrontDepthSum += wfCycleDepth;
-        stats_.wavefrontMaxDepth =
-            std::max(stats_.wavefrontMaxDepth, wfCycleDepth);
-    }
 }
 
 void
-NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
+NetworkModel::arbitrateNode(NodeId node, Cycle now)
 {
     auto &active = activeVcs_[node];
     // Round-robin start offset for fairness.
@@ -659,24 +530,30 @@ NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
             p.escape = true;
             p.escapeUpPhase = true;
             p.routed = false;
-            ++fx.escapeTransfers;
+            ++stats_.escapeTransfers;
         }
-        if (!p.routed && !computeRoute(node, p, now, fx)) {
+        if (!p.routed && !computeRoute(node, p, now)) {
             // Destination unreachable (gated): drop the packet.
             vc.flitsReserved -= p.flits;
             vc.fifo.pop(pool_);
             vc.headSince = now;
-            fx.progressed = true;
-            fx.ops.push_back(PendingOp{PendingOp::kDrop, 0, slot,
-                                       kInvalidLink, now});
+            ++dropped_;
+            ++stats_.droppedUnroutable;
+            lastProgress_ = now;
+            if (onDrop_)
+                onDrop_(p, now);
+            pool_.release(slot);
             continue;
         }
-        if (tryForward(node, p, slot, now, false, fx)) {
+        if (tryForward(node, p, slot, now)) {
+            const bool ejected = p.dst == node;
             inputGrantAt_[link] = now;
             vc.flitsReserved -= p.flits;
             vc.fifo.pop(pool_);
             vc.headSince = now;
-            fx.progressed = true;
+            lastProgress_ = now;
+            if (ejected)
+                pool_.release(slot);
         }
         ++k;
     }
@@ -687,19 +564,24 @@ NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
     if (!source.empty() && sourceBusyUntil_[node] <= now) {
         const std::uint32_t slot = source.head;
         Packet &p = pool_.at(slot);
-        if (!p.routed && !computeRoute(node, p, now, fx)) {
+        if (!p.routed && !computeRoute(node, p, now)) {
+            ++dropped_;
+            ++stats_.droppedUnroutable;
             source.pop(pool_);
-            fx.progressed = true;
-            fx.ops.push_back(PendingOp{PendingOp::kSourceDrop, 0,
-                                       slot, kInvalidLink, now});
+            --sourceBacklog_;
+            lastProgress_ = now;
+            if (onDrop_)
+                onDrop_(p, now);
+            pool_.release(slot);
             return;
         }
         if (p.routed) {
             p.enteredNetworkAt = now;
-            if (tryForward(node, p, slot, now, true, fx)) {
+            if (tryForward(node, p, slot, now)) {
                 sourceBusyUntil_[node] = now + p.flits;
                 source.pop(pool_);
-                fx.progressed = true;
+                --sourceBacklog_;
+                lastProgress_ = now;
                 // Source packets never have dst == node (inject
                 // short-circuits those), so the packet moved into
                 // the arrival queue — the slot stays live.
@@ -708,369 +590,8 @@ NetworkModel::decideNode(NodeId node, Cycle now, NodeEffects &fx)
     }
 }
 
-void
-NetworkModel::commitNode(NodeId node, Cycle now, NodeEffects &fx)
-{
-    // σ-order replay: everything global the interleaved loop would
-    // have applied at this node's position in the walk, in the
-    // exact decision order. The packet record is read at replay
-    // time — decide was the slot's last writer, so the reads are
-    // the values the interleaved loop used.
-    (void)node;
-    const net::Graph &g = topo_->graph();
-    for (const PendingOp &op : fx.ops) {
-        Packet &p = pool_.at(op.slot);
-        switch (op.kind) {
-        case PendingOp::kForward:
-        case PendingOp::kSourceForward: {
-            if (p.escape)
-                ++stats_.escapeHops;
-            stats_.flitHops += p.flits;
-            if (p.measured) {
-                ++stats_.measuredHops;
-                stats_.measuredFlitHops += p.flits;
-            }
-            vcs_[vcStateIndex(op.link, op.vcIndex)].flitsReserved +=
-                p.flits;
-            ++pendingArrivals_[g.link(op.link).dst];
-            pushArrival(arrivals_,
-                        Arrival{op.at, op.slot, op.link,
-                                op.vcIndex});
-            if (op.kind == PendingOp::kSourceForward)
-                --sourceBacklog_;
-            break;
-        }
-        case PendingOp::kEject:
-            recordDelivery(p, op.at);
-            pool_.release(op.slot);
-            break;
-        case PendingOp::kDrop:
-        case PendingOp::kSourceDrop:
-            ++dropped_;
-            ++stats_.droppedUnroutable;
-            if (op.kind == PendingOp::kSourceDrop)
-                --sourceBacklog_;
-            if (onDrop_)
-                onDrop_(p, now);
-            pool_.release(op.slot);
-            break;
-        }
-    }
-    stats_.escapeTransfers += fx.escapeTransfers;
-    if (fx.progressed)
-        lastProgress_ = now;
-}
-
-int
-NetworkModel::reservedWithOverlay(const NodeEffects &fx,
-                                  std::size_t flat) const
-{
-    // Committed occupancy plus this node's own not-yet-committed
-    // reservations this cycle — exactly the downstream state the
-    // interleaved loop read at this point of the node's scan. The
-    // overlay holds at most one entry per forward this node made
-    // this cycle (≤ out-degree), so a linear scan beats any map.
-    int reserved = vcs_[flat].flitsReserved;
-    const std::uint32_t key = static_cast<std::uint32_t>(flat);
-    for (std::size_t i = 0; i < fx.resVc.size(); ++i) {
-        if (fx.resVc[i] == key)
-            reserved += fx.resFlits[i];
-    }
-    return reserved;
-}
-
-NetworkModel::RemovalClass
-NetworkModel::classifyRemoval(NodeId node) const
-{
-    // Decide-free prediction of the post-arbitration removal check
-    // (activeVcs_ empty and source empty), from pre-decide state
-    // only. Sound rules:
-    //  - ≥ 2 queued source packets pin the node active: at most
-    //    one source packet leaves per cycle (a forward busies the
-    //    port, a drop returns immediately).
-    //  - A listed VC holding ≥ 2 packets pins the node active when
-    //    no drop is possible (no gated nodes): at most one packet
-    //    forwards per input port per cycle, so the FIFO stays
-    //    nonempty and the VC is never lazily delisted. Unroutable
-    //    drops break the bound (several heads can drop in one
-    //    scan), so with gated nodes present this rule is skipped.
-    //  - All listed VCs empty and source empty: every scan
-    //    iteration delists one empty VC, nothing can enqueue
-    //    mid-walk (inject is barred, arrivals landed in phase 1),
-    //    so the node is certainly removed.
-    // Anything else — single-packet VCs, a lone source packet —
-    // depends on this cycle's forwards: the sequencer pauses until
-    // the node's own decide resolves the real bit.
-    const PacketFifo &source = sourceQueue_[node];
-    if (source.size >= 2)
-        return RemovalClass::kStays;
-    bool any_nonempty = false;
-    for (const std::uint32_t flat : activeVcs_[node]) {
-        const PacketFifo &fifo = vcs_[flat].fifo;
-        if (fifo.empty())
-            continue;
-        any_nonempty = true;
-        if (!anyGated_ && fifo.size >= 2)
-            return RemovalClass::kStays;
-    }
-    if (!any_nonempty && source.empty())
-        return RemovalClass::kRemoved;
-    return RemovalClass::kUncertain;
-}
-
-void
-NetworkModel::phaseArbitrateWavefront(Cycle now)
-{
-    wfNow_ = now;
-    wfCommitted_.store(0, std::memory_order_relaxed);
-    wfDispatched_.store(0, std::memory_order_relaxed);
-    wfWalkDone_.store(false, std::memory_order_relaxed);
-    for (const auto &job : wfJobs_)
-        job->tag.store(0, std::memory_order_relaxed);
-    // The escape tables are a lazily built mutable cache; build
-    // them at the barrier so no two decide stages race the build.
-    ensureEscapeTables();
-    wfInWalk_ = true;
-    // runAll's internal synchronisation publishes the resets above
-    // to every worker before any task runs.
-    wavefrontExecutor_->runAll(wfTasks_);
-    wfInWalk_ = false;
-}
-
-void
-NetworkModel::wavefrontDriver()
-{
-    const Cycle now = wfNow_;
-    const net::Graph &g = topo_->graph();
-    const std::size_t width = wfJobs_.size();
-
-    // Virtual σ-sequencing of the dynamic swap-removal walk: the
-    // slice replays activeNodes_'s compaction using the decide-free
-    // removal classification, pausing at uncertain nodes until
-    // their own decide resolves the real bit. Each sequenced
-    // position records how many σ-predecessor commits its decide
-    // must wait for (graph-adjacent dependencies: the downstream
-    // flitsReserved its VCT checks read are written by neighbour
-    // commits).
-    wfSlice_.assign(activeNodes_.begin(), activeNodes_.end());
-    wfSeqNodes_.clear();
-    wfSeqNeed_.clear();
-    wfSeqPred_.clear();
-    std::size_t vcur = 0;
-    bool uncertain_pending = false;
-    const Cycle stamp = now + 1;
-
-    const bool profile = cfg_.profileWavefront;
-    std::uint64_t wfWalked = 0;
-    std::uint64_t wfCycleDepth = 0;
-
-    std::size_t cpos = 0;   // commit cursor (σ-position)
-    std::size_t dnext = 0;  // next σ-position to fill into the ring
-    std::size_t rpos = 0;   // real activeNodes_ index of cpos
-
-    const auto sequenceOne = [&](NodeId node) {
-        const std::uint32_t pos =
-            static_cast<std::uint32_t>(wfSeqNodes_.size());
-        std::uint32_t need = 0;
-        const auto relax = [&](NodeId v) {
-            if (wfSeqStamp_[v] == stamp && wfSeqIdx_[v] < pos)
-                need = std::max(need, wfSeqIdx_[v] + 1);
-        };
-        for (const LinkId l : g.outLinks(node))
-            relax(g.link(l).dst);
-        for (const LinkId l : g.inLinks(node))
-            relax(g.link(l).src);
-        wfSeqStamp_[node] = stamp;
-        wfSeqIdx_[node] = pos;
-        wfSeqNodes_.push_back(node);
-        wfSeqNeed_.push_back(need);
-    };
-
-    const auto advanceSequencing = [&] {
-        while (vcur < wfSlice_.size()) {
-            if (uncertain_pending) {
-                // The node at the last sequenced position occupies
-                // virtual slot vcur; its removal bit resolves when
-                // its decide completes (the bit reads only state
-                // the decide owns).
-                const std::size_t q = wfSeqNodes_.size() - 1;
-                if (q >= dnext)
-                    return;  // not dispatched yet
-                const WavefrontJob &job = *wfJobs_[q % width];
-                if (job.tag.load(std::memory_order_acquire) <
-                    q * 4 + kWfDone)
-                    return;  // decide still in flight
-                const NodeId node = wfSeqNodes_[q];
-                const bool removed = activeVcs_[node].empty() &&
-                                     sourceQueue_[node].empty();
-                wfSeqPred_[q] =
-                    removed ? std::uint8_t(1) : std::uint8_t(0);
-                if (removed) {
-                    wfSlice_[vcur] = wfSlice_.back();
-                    wfSlice_.pop_back();
-                } else {
-                    ++vcur;
-                }
-                uncertain_pending = false;
-                continue;
-            }
-            const NodeId node = wfSlice_[vcur];
-            const RemovalClass cls = classifyRemoval(node);
-            sequenceOne(node);
-            if (cls == RemovalClass::kStays) {
-                wfSeqPred_.push_back(0);
-                ++vcur;
-            } else if (cls == RemovalClass::kRemoved) {
-                wfSeqPred_.push_back(1);
-                wfSlice_[vcur] = wfSlice_.back();
-                wfSlice_.pop_back();
-            } else {
-                wfSeqPred_.push_back(2);
-                uncertain_pending = true;
-            }
-        }
-    };
-
-    while (true) {
-        advanceSequencing();
-        const bool seq_complete =
-            vcur >= wfSlice_.size() && !uncertain_pending;
-        if (seq_complete && cpos == wfSeqNodes_.size())
-            break;
-        // Fill free ring slots up to the wavefront width. A slot
-        // is free because its previous occupant (position
-        // dnext - width) has committed: dnext < cpos + width.
-        while (dnext < wfSeqNodes_.size() && dnext < cpos + width) {
-            WavefrontJob &job = *wfJobs_[dnext % width];
-            job.node = wfSeqNodes_[dnext];
-            job.needCommits = wfSeqNeed_[dnext];
-            job.fx.clear();
-            job.tag.store(dnext * 4 + kWfReady,
-                          std::memory_order_release);
-            ++dnext;
-            wfDispatched_.store(
-                static_cast<std::uint32_t>(dnext),
-                std::memory_order_release);
-        }
-        if (cpos < dnext) {
-            WavefrontJob &job = *wfJobs_[cpos % width];
-            // Run the commit-front decide inline when no worker
-            // claimed it — the driver never waits on an unclaimed
-            // job, so the walk cannot deadlock even when the
-            // executor has no free worker at all.
-            std::uint64_t expected = cpos * 4 + kWfReady;
-            if (job.tag.compare_exchange_strong(
-                    expected, cpos * 4 + kWfClaimed,
-                    std::memory_order_acq_rel)) {
-                decideNode(job.node, now, job.fx);
-                job.tag.store(cpos * 4 + kWfDone,
-                              std::memory_order_release);
-            } else {
-                while (job.tag.load(std::memory_order_acquire) !=
-                       cpos * 4 + kWfDone)
-                    std::this_thread::yield();
-            }
-            if (profile) {
-                // Cost-model instrumentation, at the commit point
-                // so the σ-order stamp sequence matches the serial
-                // walk exactly.
-                ++wfWalked;
-                std::uint32_t depth = 1;
-                const auto relax = [&](NodeId v) {
-                    if (wfStamp_[v] == stamp)
-                        depth = std::max(depth, wfDepth_[v] + 1);
-                };
-                for (const LinkId l : g.outLinks(job.node))
-                    relax(g.link(l).dst);
-                for (const LinkId l : g.inLinks(job.node))
-                    relax(g.link(l).src);
-                wfStamp_[job.node] = stamp;
-                wfDepth_[job.node] = depth;
-                wfCycleDepth =
-                    std::max<std::uint64_t>(wfCycleDepth, depth);
-            }
-            commitNode(job.node, now, job.fx);
-            // Real swap-removal on activeNodes_, exactly as the
-            // serial walk applies it — and the sequencer's
-            // prediction is checked against the real bit, so a
-            // classification bug can never silently diverge.
-            const NodeId node = job.node;
-            const bool removed = activeVcs_[node].empty() &&
-                                 sourceQueue_[node].empty();
-            if (wfSeqPred_[cpos] != 2 &&
-                (wfSeqPred_[cpos] != 0) != removed) {
-                throw std::logic_error(
-                    "wavefront removal misprediction");
-            }
-            if (removed) {
-                nodeActive_[node] = 0;
-                activeNodes_[rpos] = activeNodes_.back();
-                activeNodes_.pop_back();
-            } else {
-                ++rpos;
-            }
-            ++cpos;
-            wfCommitted_.store(static_cast<std::uint32_t>(cpos),
-                               std::memory_order_release);
-        }
-    }
-    wfWalkDone_.store(true, std::memory_order_release);
-
-    if (profile && wfWalked > 0) {
-        ++stats_.wavefrontCycles;
-        stats_.wavefrontNodesWalked += wfWalked;
-        stats_.wavefrontMaxWalk =
-            std::max(stats_.wavefrontMaxWalk, wfWalked);
-        stats_.wavefrontDepthSum += wfCycleDepth;
-        stats_.wavefrontMaxDepth =
-            std::max(stats_.wavefrontMaxDepth, wfCycleDepth);
-    }
-}
-
-void
-NetworkModel::wavefrontWorker()
-{
-    const Cycle now = wfNow_;
-    const std::size_t width = wfJobs_.size();
-    while (!wfWalkDone_.load(std::memory_order_acquire)) {
-        const std::uint32_t committed =
-            wfCommitted_.load(std::memory_order_acquire);
-        const std::uint32_t dispatched =
-            wfDispatched_.load(std::memory_order_acquire);
-        bool ran = false;
-        for (std::uint32_t pos = committed; pos < dispatched;
-             ++pos) {
-            WavefrontJob &job = *wfJobs_[pos % width];
-            std::uint64_t t =
-                job.tag.load(std::memory_order_acquire);
-            if ((t & 3) != kWfReady)
-                continue;
-            // The tag's release-store published node/needCommits;
-            // eligibility uses the slot's own values, so a slot
-            // recycled for a later position is still claimed
-            // correctly (the CAS on the exact tag is ABA-safe).
-            if (job.needCommits >
-                wfCommitted_.load(std::memory_order_acquire))
-                continue;
-            const std::uint64_t jpos = t >> 2;
-            if (job.tag.compare_exchange_strong(
-                    t, jpos * 4 + kWfClaimed,
-                    std::memory_order_acq_rel)) {
-                decideNode(job.node, now, job.fx);
-                job.tag.store(jpos * 4 + kWfDone,
-                              std::memory_order_release);
-                ran = true;
-                break;
-            }
-        }
-        if (!ran)
-            std::this_thread::yield();
-    }
-}
-
 bool
-NetworkModel::computeRoute(NodeId node, Packet &p, Cycle now,
-                           NodeEffects &fx)
+NetworkModel::computeRoute(NodeId node, Packet &p, Cycle now)
 {
     (void)now;
     p.numCandidates = 0;
@@ -1095,7 +616,7 @@ NetworkModel::computeRoute(NodeId node, Packet &p, Cycle now,
         // Greedy stall (degraded topology): escalate immediately.
         p.escape = true;
         p.escapeUpPhase = true;
-        ++fx.escapeTransfers;
+        ++stats_.escapeTransfers;
     }
 
     LinkId link = kInvalidLink;
@@ -1116,17 +637,15 @@ NetworkModel::computeRoute(NodeId node, Packet &p, Cycle now,
 
 bool
 NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
-                         Cycle now, bool from_source,
-                         NodeEffects &fx)
+                         Cycle now)
 {
     // Ejection at the destination.
     if (p.dst == node) {
         if (ejectBusyUntil_[node] > now)
             return false;
         ejectBusyUntil_[node] = now + p.flits;
-        fx.ops.push_back(PendingOp{PendingOp::kEject, 0, slot,
-                                   kInvalidLink, now + p.flits});
-        return true;
+        recordDelivery(p, now + p.flits);
+        return true;  // caller releases the slot
     }
 
     // Collect currently grantable candidates. The downstream VC is
@@ -1146,17 +665,13 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
         }
         if (linkBusyUntil_[link] > now || outputGrantAt_[link] == now)
             continue;
-        // Virtual cut-through: room for the entire packet
-        // downstream — committed occupancy plus this node's own
-        // pending reservations (the overlay), exactly what the
-        // interleaved loop read here.
-        const int reserved = reservedWithOverlay(
-            fx, vcStateIndex(link, want_vc));
-        if (reserved + p.flits > cfg_.vcDepth)
+        // Virtual cut-through: room for the entire packet downstream.
+        const VcState &down = vcs_[vcStateIndex(link, want_vc)];
+        if (down.flitsReserved + p.flits > cfg_.vcDepth)
             continue;
         usable[usable_count] = link;
         occupancy[usable_count] =
-            static_cast<double>(reserved) /
+            static_cast<double>(down.flitsReserved) /
             static_cast<double>(cfg_.vcDepth);
         ++usable_count;
     }
@@ -1181,17 +696,15 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
     const LinkId link = usable[pick];
     const net::Link &l = topo_->graph().link(link);
 
-    // Decide the hop: the packet and this node's own link state
-    // mutate in place; the downstream reservation, the arrival
-    // push, and the hop counters are buffered and replayed at the
-    // node's σ-position (stats are recomputed at commit from the
-    // packet record, which decide leaves final).
+    // Commit the hop: the packet mutates in place and its slot
+    // moves from the VC queue to the arrival queue — no copy.
     outputGrantAt_[link] = now;
     linkBusyUntil_[link] = now + p.flits;
 
     p.hops += 1;
     p.routed = false;
     if (p.escape) {
+        ++stats_.escapeHops;
         if (topo_->escapeScheme() == net::EscapeScheme::Ring) {
             if (topo_->ringPosition(l.dst) <
                 topo_->ringPosition(node))
@@ -1202,28 +715,18 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
                 p.escapeUpPhase = false;
         }
     }
+    stats_.flitHops += p.flits;
+    if (p.measured) {
+        ++stats_.measuredHops;
+        stats_.measuredFlitHops += p.flits;
+    }
 
     const int dvc = downstreamVcIndex(p);
-    const std::uint32_t flat =
-        static_cast<std::uint32_t>(vcStateIndex(link, dvc));
-    bool merged = false;
-    for (std::size_t i = 0; i < fx.resVc.size(); ++i) {
-        if (fx.resVc[i] == flat) {
-            fx.resFlits[i] += p.flits;
-            merged = true;
-            break;
-        }
-    }
-    if (!merged) {
-        fx.resVc.push_back(flat);
-        fx.resFlits.push_back(p.flits);
-    }
+    vcs_[vcStateIndex(link, dvc)].flitsReserved += p.flits;
+    ++pendingArrivals_[l.dst];
     const Cycle arrival = now + p.flits - 1 + l.latency +
                           cfg_.serdesCycles;
-    fx.ops.push_back(PendingOp{from_source
-                                   ? PendingOp::kSourceForward
-                                   : PendingOp::kForward,
-                               dvc, slot, link, arrival});
+    pushArrival(arrivals_, Arrival{arrival, slot, link, dvc});
     return true;
 }
 

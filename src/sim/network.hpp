@@ -54,8 +54,8 @@
  * concurrently on Executor threads between the arrival-landing and
  * arbitration phases (a cycle barrier: runAll returns before any
  * serial state advances). Everything whose *order* is load-bearing
- * stays on the serial commit path, because the engine's total event
- * order is defined by it: the global arrival heap's push
+ * stays on the serial arbitration walk, because the engine's total
+ * event order is defined by it: the global arrival heap's push
  * interleaving (pop ties replay insertion structure), the
  * activeNodes_ walk with its swap-removal compaction (same-cycle
  * neighbour drain-then-reserve ordering), escape escalation (its
@@ -116,53 +116,18 @@
  * decisions are uncacheable by construction and enableRouteCache
  * refuses them (see docs/routing_policies.md).
  *
- * Phase-pipeline cycle engine (docs/engine_phases.md): step() is an
- * explicit five-phase pipeline — Land → Snapshot → Route →
- * Arbitrate(decide) → Commit. Arbitration is split per node into a
- * *decide* stage and a *commit* stage. Decide mutates only state
- * this node exclusively owns (its input-VC FIFOs and reservations,
- * its input/output link grants, its ejection/source ports, the
- * head packets themselves) and buffers every global or cross-node
- * effect — downstream VC reservations, arrival-heap pushes,
- * deliveries, drops, pool releases, shared stats counters — into
- * an ordered per-node effect set (NodeEffects). Commit replays
- * effect sets serially in exact activeNodes_ σ-order (the dynamic
- * swap-removal walk), so the arrival heap's push interleaving and
- * the same-cycle neighbour drain/reserve ordering — the PR 5
- * total-event-order constraint — are reproduced byte-for-byte.
- * Decide's one cross-node read is downstream VC occupancy on its
- * own out-links (the VCT admission check), satisfied from
- * committed state plus a local overlay of the node's own pending
- * reservations this cycle — exactly the values the interleaved
- * loop read.
- *
- * Commit-wavefront scheduler (cfg.wavefront > 0 +
- * setWavefrontExecutor): because decide's only cross-node input is
- * written by graph-adjacent σ-predecessors' commits, decide stages
- * may run concurrently on Executor workers once those predecessors
- * have committed. The walk order is pre-sequenced against a
- * virtual copy of activeNodes_ using a decide-free removal
- * classification (a listed VC holding ≥ 2 packets, or ≥ 2 queued
- * source packets, pins a node active — at most one packet leaves
- * per input port and per source port per cycle; all-empty pins it
- * removed; anything else pauses sequencing until that node's own
- * decide resolves the real bit — and when the topology has gated
- * nodes the ≥ 2 VC rule is downgraded too, because unroutable
- * drops can empty a deeper FIFO in one cycle). A ring of
- * cfg.wavefront decide jobs carries ABA-safe position-tagged
- * states; workers claim jobs whose σ-predecessor commit count has
- * been reached (acquire on the commit counter pairs with the
- * driver's release after each commit), and the driver task commits
- * strictly in σ-order, running any still-unclaimed job inline so
- * the walk never deadlocks. The schedule changes *wall-clock*
- * interleaving only — every simulated event replays in σ-order —
- * so reports are byte-identical at every wavefront width,
- * including 0 (the plain serial decide→commit loop).
+ * Phase-pipeline cycle engine (docs/engine_phases.md): step() runs
+ * four phases — Land → Snapshot → Route → Arbitrate. Arbitration is
+ * one serial walk over activeNodes_ in its swap-removal order
+ * (σ-order); each node applies its effects in place — drains,
+ * downstream VC reservations, arrival-heap pushes, deliveries and
+ * drops — before the next node runs. That walk defines the arrival
+ * heap's push interleaving and the same-cycle neighbour
+ * drain/reserve ordering: the engine's total event order.
  */
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -196,6 +161,8 @@ class NetworkModel
      */
     using DropHandler = std::function<void(const Packet &, Cycle)>;
 
+    /** @throws std::invalid_argument when cfg.wavefront is nonzero
+     *  (the scheduler it selected no longer exists). */
     NetworkModel(const net::Topology &topo, const SimConfig &cfg);
 
     /**
@@ -263,23 +230,6 @@ class NetworkModel
      * Results are byte-identical either way and at any shard count.
      */
     void setRouteExecutor(Executor *executor);
-
-    /**
-     * Enable the commit-wavefront scheduler (see the file header):
-     * with cfg.wavefront > 0, each step()'s arbitration phase
-     * pipelines per-node decide stages onto @p executor while the
-     * calling side commits effect sets in exact serial σ-order.
-     * Pass nullptr (or leave cfg.wavefront at 0) for the serial
-     * decide→commit loop. The executor must outlive the model.
-     * Results are byte-identical either way and at any width.
-     *
-     * While the wavefront walk is in flight, inject() is forbidden
-     * (delivery/drop handlers must buffer and inject between
-     * steps, which every workload already does — the packet pool's
-     * slab vector may grow during alloc and decide stages read it
-     * concurrently).
-     */
-    void setWavefrontExecutor(Executor *executor);
 
     /**
      * Enable the memoized route plane (see the file header): greedy
@@ -383,98 +333,14 @@ class NetworkModel
         NodeId node;
     };
 
-    /**
-     * One buffered global effect of a node's decide stage, replayed
-     * verbatim by commitNode in decision order. Everything the
-     * effect needs beyond these fields is read from the packet
-     * record at commit time — decide is the slot's last writer
-     * until the commit, so the reads are exact.
-     */
-    struct PendingOp {
-        enum Kind : std::uint8_t {
-            kForward,        ///< hop: reserve downstream + arrival
-            kSourceForward,  ///< kForward + source-backlog decrement
-            kEject,          ///< delivered at the destination
-            kDrop,           ///< unroutable VC head dropped
-            kSourceDrop,     ///< unroutable source head dropped
-        };
-        Kind kind;
-        std::int32_t vcIndex;  ///< downstream VC (forwards)
-        std::uint32_t slot;    ///< pool slot of the packet
-        LinkId link;           ///< output link (forwards)
-        Cycle at;              ///< arrival / delivery cycle
-    };
-
-    /**
-     * The buffered effect set of one node's decide stage: the
-     * ordered global ops plus additive stat deltas, and decide's
-     * private overlay of its own not-yet-committed downstream
-     * reservations (flat VcState index → reserved flits) so the
-     * VCT admission check sees exactly what the interleaved loop
-     * saw. Cleared and reused — steady state allocates nothing.
-     */
-    struct NodeEffects {
-        std::vector<PendingOp> ops;
-        std::uint64_t escapeTransfers = 0;
-        bool progressed = false;
-        std::vector<std::uint32_t> resVc;
-        std::vector<int> resFlits;
-
-        void
-        clear()
-        {
-            ops.clear();
-            escapeTransfers = 0;
-            progressed = false;
-            resVc.clear();
-            resFlits.clear();
-        }
-    };
-
-    /** One slot of the wavefront decide-job ring. `tag` packs the
-     *  σ-position with a lifecycle phase (pos * 4 + phase) so a
-     *  recycled slot can never be claimed for a stale position. */
-    struct WavefrontJob {
-        std::atomic<std::uint64_t> tag{0};
-        NodeId node = 0;
-        std::uint32_t needCommits = 0;
-        NodeEffects fx;
-    };
-
     // Phase pipeline (see the file header / docs/engine_phases.md).
     void phaseLand(Cycle now);
     void phaseSnapshot(Cycle now);
     void phaseRoute(Cycle now);
     void phaseArbitrate(Cycle now);
-    void phaseArbitrateSerial(Cycle now, bool time_phases);
-    void phaseArbitrateWavefront(Cycle now);
-    void wavefrontDriver();
-    void wavefrontWorker();
-
-    /**
-     * Arbitration decide stage for @p node: the exact per-node
-     * decision sequence of the historical interleaved loop, with
-     * every global effect buffered into @p fx instead of applied.
-     * Mutates only node-owned state; safe to run concurrently for
-     * nodes whose graph-adjacent σ-predecessors have committed.
-     */
-    void decideNode(NodeId node, Cycle now, NodeEffects &fx);
-    /** Serial σ-order replay of one node's buffered effect set. */
-    void commitNode(NodeId node, Cycle now, NodeEffects &fx);
-    /** Committed + this node's pending downstream reservation. */
-    int reservedWithOverlay(const NodeEffects &fx,
-                            std::size_t flat) const;
-    /**
-     * Decide-free removal prediction for the wavefront sequencer:
-     * will the post-arbitration removal check pull @p node out of
-     * activeNodes_ this cycle?
-     */
-    enum class RemovalClass : std::uint8_t {
-        kStays,
-        kRemoved,
-        kUncertain
-    };
-    RemovalClass classifyRemoval(NodeId node) const;
+    /** Arbitrate @p node's input VCs and source port, applying
+     *  every effect in place at the node's σ-position. */
+    void arbitrateNode(NodeId node, Cycle now);
     /**
      * Sharded route plane, between arrival landing and arbitration:
      * collect every cycle-start head the serial loop would route
@@ -490,14 +356,12 @@ class NetworkModel
     void routeShard(std::size_t shard);
     /**
      * Compute (or escalate) the route of head packet @p p at
-     * @p node. Runs inside decide: an escape escalation is counted
-     * into @p fx, not the shared stats.
+     * @p node.
      *
      * @return False when the packet must be dropped (destination
      *         gated away and unreachable).
      */
-    bool computeRoute(NodeId node, Packet &p, Cycle now,
-                      NodeEffects &fx);
+    bool computeRoute(NodeId node, Packet &p, Cycle now);
     /**
      * The fast-path lookup both route planes share: fill @p p's
      * candidates for its next hop from @p node, through the route
@@ -512,15 +376,13 @@ class NetworkModel
      *  route is computed; only when the policy reads it. */
     void fillCongestionSnapshot();
     /**
-     * Decide whether head packet @p p (pool slot @p slot) moves one
-     * hop or ejects this cycle. Own-state link/port bookkeeping is
-     * applied directly; the cross-node consequences (reservation,
-     * arrival push, delivery) are buffered into @p fx.
+     * Move head packet @p p (pool slot @p slot) one hop, or eject
+     * it, if its crossbar, link and downstream VC allow this cycle.
      *
      * @return True when the packet left this router.
      */
     bool tryForward(NodeId node, Packet &p, std::uint32_t slot,
-                    Cycle now, bool from_source, NodeEffects &fx);
+                    Cycle now);
     void activateNode(NodeId node);
     void ensureEscapeTables() const;
     void recordDelivery(const Packet &p, Cycle delivered_at);
@@ -573,48 +435,6 @@ class NetworkModel
     std::vector<std::uint32_t> congestionFlits_;
     /** Read-only view over congestionFlits_ handed to route(). */
     core::CongestionSnapshot congestion_;
-
-    // Commit-wavefront cost model (cfg_.profileWavefront): per-node
-    // scratch for the dependency-depth recurrence, sized lazily.
-    std::vector<Cycle> wfStamp_;          ///< cycle of last arb
-    std::vector<std::uint32_t> wfDepth_;  ///< chain depth then
-
-    /** Reused effect set of the serial decide→commit loop. */
-    NodeEffects serialFx_;
-
-    // Commit-wavefront scheduler (inert unless setWavefrontExecutor
-    // was called with cfg_.wavefront > 0; see the file header).
-    Executor *wavefrontExecutor_ = nullptr;
-    /** Decide-job ring, cfg_.wavefront slots (non-copyable). */
-    std::vector<std::unique_ptr<WavefrontJob>> wfJobs_;
-    /** Reusable driver + worker tasks, built once. */
-    std::vector<std::function<void()>> wfTasks_;
-    /** σ-positions committed so far this cycle (driver releases
-     *  after each commit; workers acquire before eligible claims —
-     *  the happens-before edge the VCT cross-node reads ride). */
-    std::atomic<std::uint32_t> wfCommitted_{0};
-    /** σ-positions whose job slots have been filled (kReady). */
-    std::atomic<std::uint32_t> wfDispatched_{0};
-    /** Walk finished; workers drain and return. */
-    std::atomic<bool> wfWalkDone_{false};
-    /** The cycle the in-flight walk arbitrates (tasks are built
-     *  once and cannot capture per-call locals). */
-    Cycle wfNow_ = 0;
-    /** Decide stages may be running on workers: inject() throws. */
-    bool wfInWalk_ = false;
-    /** True when the current topology epoch has gated nodes —
-     *  unroutable drops become possible and the ≥ 2-packet VC
-     *  stay-rule of classifyRemoval is no longer sound. */
-    bool anyGated_ = false;
-    // Sequencer scratch (reused; steady state allocates nothing).
-    std::vector<NodeId> wfSlice_;      ///< virtual activeNodes_ walk
-    std::vector<NodeId> wfSeqNodes_;   ///< σ-sequenced nodes
-    std::vector<std::uint32_t> wfSeqNeed_;  ///< commits needed
-    /** Predicted removal bit per σ-position (0 stay, 1 removed,
-     *  2 resolved-at-decide); checked against reality at commit. */
-    std::vector<std::uint8_t> wfSeqPred_;
-    std::vector<Cycle> wfSeqStamp_;    ///< per-node: sequenced cycle
-    std::vector<std::uint32_t> wfSeqIdx_;  ///< per-node: σ-position
 
     mutable std::unique_ptr<net::UpDownRouting> updown_;
     DeliverHandler onDeliver_;

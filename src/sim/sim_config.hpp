@@ -85,37 +85,19 @@ struct SimConfig {
      */
     core::RoutingPolicyKind policy = core::RoutingPolicyKind::Greedy;
     /**
-     * Commit-wavefront scheduler (`sfx --wavefront`): maximum
-     * number of in-flight per-node decide stages the phase-pipeline
-     * engine keeps ahead of the serial commit cursor when the
-     * simulation also has an Executor (see
-     * NetworkModel::setWavefrontExecutor). Decide stages run on
-     * Executor workers as soon as every graph-adjacent σ-order
-     * predecessor has committed; commits replay each node's
-     * buffered effect set in exact serial walk order, so the report
-     * is byte-identical at every wavefront width — 0 disables the
-     * scheduler and runs the exact serial decide→commit loop. An
-     * execution knob like shards/routeCache: never part of the
-     * spec hash, allowed to change across checkpoint resumes.
+     * Removed knob: the commit-wavefront scheduler it selected was
+     * deleted after it measured slower than the serial walk, and
+     * NetworkModel's constructor throws std::invalid_argument on
+     * any nonzero value. Kept only because the frozen benchmark
+     * (perfbench/sfbench.cpp) assigns it; to be deleted by the next
+     * change that may edit perfbench/.
      */
     int wavefront = 0;
     /**
-     * Commit-wavefront cost-model instrumentation (ROADMAP item 5):
-     * per-cycle counters for the serial arbitration walk length and
-     * the dependency-chain depth across graph-adjacent nodes, the
-     * bound on any deterministic out-of-order arbitration schedule.
-     * Off by default — the profiling pass costs a neighbour scan
-     * per arbitrated node. Changes no simulated event either way.
-     */
-    bool profileWavefront = false;
-    /**
      * Per-phase wall-clock instrumentation: accumulate steady-clock
-     * nanoseconds spent in each of the five cycle phases (land,
-     * snapshot, route, arbitrate-decide, commit) into NetStats so
-     * wavefront speedups — or their absence — are attributable.
-     * Forces the serial arbitration walk (phase timings under
-     * concurrent decides would be meaningless sums across threads)
-     * and costs two clock reads per arbitrated node, so it is a
+     * nanoseconds spent in each of the four cycle phases (land,
+     * snapshot, route, arbitrate) into NetStats. Costs five clock
+     * reads per cycle, one per phase boundary, so it is a
      * profiling knob, off by default. Changes no simulated event.
      */
     bool profilePhases = false;

@@ -54,26 +54,13 @@ fillMeasuredStats(RunResult &result, const NetStats &stats)
     result.flitHops = stats.flitHops;
     result.tailTotal = stats.totalLatencyLog.summary();
     result.tailNetwork = stats.networkLatencyLog.summary();
-    result.wavefrontCycles = stats.wavefrontCycles;
-    result.wavefrontMaxWalk = stats.wavefrontMaxWalk;
-    result.wavefrontMaxDepth = stats.wavefrontMaxDepth;
     result.phaseProfiledCycles = stats.phaseProfiledCycles;
     result.phaseLandNs = stats.phaseLandNs;
     result.phaseSnapshotNs = stats.phaseSnapshotNs;
     result.phaseRouteNs = stats.phaseRouteNs;
-    result.phaseDecideNs = stats.phaseDecideNs;
-    result.phaseCommitNs = stats.phaseCommitNs;
+    result.phaseDecideNs = stats.phaseArbitrateNs;
     result.droppedUnroutable = stats.droppedUnroutable;
     result.topologyEpochs = stats.topologyEpochs;
-    if (stats.wavefrontCycles > 0) {
-        const double cycles =
-            static_cast<double>(stats.wavefrontCycles);
-        result.wavefrontAvgWalk =
-            static_cast<double>(stats.wavefrontNodesWalked) /
-            cycles;
-        result.wavefrontAvgDepth =
-            static_cast<double>(stats.wavefrontDepthSum) / cycles;
-    }
 }
 
 } // namespace
@@ -87,7 +74,6 @@ runSynthetic(const net::Topology &topo, TrafficPattern pattern,
     // Synthetic runs never reconfigure, so the whole run is one
     // topology epoch for both route planes (network.hpp).
     net.setRouteExecutor(executor);
-    net.setWavefrontExecutor(executor);
     net.enableRouteCache();
     Rng traffic_rng(cfg.seed * 0x9e3779b9ULL + 17);
     const auto nodes = liveNodes(topo);
@@ -193,7 +179,6 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
     // memoizes against an immutable-within-epoch snapshot
     // (network.hpp).
     net.setRouteExecutor(executor);
-    net.setWavefrontExecutor(executor);
     net.enableRouteCache();
     const auto nodes = liveNodes(topo);
     const auto n_all = topo.numNodes();

@@ -123,26 +123,23 @@ struct RunResult {
     /** Flits / node / cycle actually injected in the measure
      *  window (open-loop runs: the schedule's realized rate). */
     double realizedLoad = 0.0;
-    /** Commit-wavefront cost model (SimConfig::profileWavefront,
-     *  all zero otherwise): average/max arbitration-walk length
-     *  and dependency-chain depth per profiled cycle — see
-     *  NetStats. avgWalk / avgDepth bounds the speedup of any
-     *  order-preserving parallel arbitration schedule. */
-    double wavefrontAvgWalk = 0.0;
-    double wavefrontAvgDepth = 0.0;
-    std::uint64_t wavefrontMaxWalk = 0;
-    std::uint64_t wavefrontMaxDepth = 0;
-    std::uint64_t wavefrontCycles = 0;
     /** Per-phase wall time of the cycle engine
      *  (SimConfig::profilePhases, all zero otherwise): total
-     *  steady-clock nanoseconds spent in each pipeline phase of
+     *  steady-clock nanoseconds spent in each phase of
      *  docs/engine_phases.md across the profiled cycles. Divide by
      *  phaseProfiledCycles for ns/cycle. */
     std::uint64_t phaseProfiledCycles = 0;
     std::uint64_t phaseLandNs = 0;
     std::uint64_t phaseSnapshotNs = 0;
     std::uint64_t phaseRouteNs = 0;
+    /** The whole arbitration walk (NetStats::phaseArbitrateNs);
+     *  the name is kept because the frozen benchmark
+     *  (perfbench/sfbench.cpp) reads it. */
     std::uint64_t phaseDecideNs = 0;
+    /** Always 0: arbitration applies its effects in place, so no
+     *  separate commit phase exists. Kept only because the frozen
+     *  benchmark reads it; to be deleted, and phaseDecideNs
+     *  renamed, by the next change that may edit perfbench/. */
     std::uint64_t phaseCommitNs = 0;
     /** Packets dropped because their destination was gated away
      *  mid-flight (elastic runs; 0 on immutable topologies). */

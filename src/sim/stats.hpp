@@ -317,40 +317,20 @@ struct NetStats {
     std::uint64_t routeCacheRebuilds = 0;
 
     /**
-     * Commit-wavefront cost model (SimConfig::profileWavefront):
-     * the measured per-cycle structure of the serial arbitration
-     * walk, collected so ROADMAP item 5 (out-of-order arbitration)
-     * can be decided on data. Per profiled cycle with at least one
-     * active node: the walk length (nodes arbitrated, including
-     * re-visits from the swap-removal compaction) and the critical-
-     * path depth of the walk's dependency chains — a node depends
-     * on every graph-adjacent node (shared link state) arbitrated
-     * earlier the same cycle, so `depth` is the minimum number of
-     * sequential rounds any order-preserving parallel arbitration
-     * schedule needs, and walked/depth is its maximum speedup.
-     */
-    std::uint64_t wavefrontCycles = 0;      ///< profiled cycles
-    std::uint64_t wavefrontNodesWalked = 0; ///< sum of walk lengths
-    std::uint64_t wavefrontMaxWalk = 0;     ///< max per-cycle walk
-    std::uint64_t wavefrontDepthSum = 0;    ///< sum of chain depths
-    std::uint64_t wavefrontMaxDepth = 0;    ///< max per-cycle depth
-
-    /**
      * Per-phase wall-clock breakdown (SimConfig::profilePhases):
-     * steady-clock nanoseconds accumulated in each of the five
+     * steady-clock nanoseconds accumulated in each of the four
      * cycle phases — Land (arrival heap drain + loopbacks),
      * Snapshot (congestion freeze), Route (pure route plane,
-     * sharded or inline), Arbitrate-decide (per-node decisions and
-     * own-state mutation), Commit (σ-order effect-set replay) —
-     * over phaseProfiledCycles step() calls. Wall-clock only:
-     * changes no simulated event and never lands in a report.
+     * sharded or inline), Arbitrate (the serial σ-order walk,
+     * including routes computed lazily inside it) — over
+     * phaseProfiledCycles step() calls. Wall-clock only: changes
+     * no simulated event and never lands in a report.
      */
     std::uint64_t phaseProfiledCycles = 0;
     std::uint64_t phaseLandNs = 0;
     std::uint64_t phaseSnapshotNs = 0;
     std::uint64_t phaseRouteNs = 0;
-    std::uint64_t phaseDecideNs = 0;
-    std::uint64_t phaseCommitNs = 0;
+    std::uint64_t phaseArbitrateNs = 0;
 
     double
     avgHops() const

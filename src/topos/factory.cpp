@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "core/string_figure.hpp"
 #include "net/bisection.hpp"
@@ -212,13 +213,15 @@ cachedTopology(const core::SFParams &params)
 int
 matchOdmMultiplier(std::size_t n, std::uint64_t seed)
 {
-    // Cache: the empirical bisection ratio is stable per scale and
-    // the max-flow evaluation is not free at 1296 nodes. Guarded —
-    // concurrent scheduler threads resolve ODM multipliers too.
+    // Cache: the max-flow evaluation is not free at 1296 nodes.
+    // Keyed by (n, seed) because the String Figure side of the
+    // ratio is built from the seed. Guarded — concurrent scheduler
+    // threads resolve ODM multipliers too.
     static std::mutex mutex;
-    static std::map<std::size_t, int> cache;
+    static std::map<std::pair<std::size_t, std::uint64_t>, int> cache;
     const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(n);
+    const auto key = std::make_pair(n, seed);
+    const auto it = cache.find(key);
     if (it != cache.end())
         return it->second;
 
@@ -248,8 +251,7 @@ matchOdmMultiplier(std::size_t n, std::uint64_t seed)
                static_cast<double>(sf_bw) /
                static_cast<double>(std::max<std::uint64_t>(
                    dm_bw, 1)))));
-    cache[n] = std::min(mult, 4);
-    return cache[n];
+    return cache[key] = std::min(mult, 4);
 }
 
 } // namespace sf::topos

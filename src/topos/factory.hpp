@@ -102,7 +102,9 @@ bool topologyCacheEnabled();
 
 /**
  * Parallel-link multiplier that brings a mesh's empirical bisection
- * bandwidth to String Figure's at @p n nodes (>= 1).
+ * bandwidth to String Figure's at @p n nodes (>= 1). The String
+ * Figure network is built from @p seed, so results are memoized per
+ * (n, seed).
  */
 int matchOdmMultiplier(std::size_t n, std::uint64_t seed);
 

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/routing_policy.hpp"
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
 #include "exp/run_store.hpp"
@@ -44,10 +43,7 @@ using namespace sf::exp;
  *  --route-cache`), which must be just as invisible in the
  *  report. */
 std::string
-fig1SliceReport(int jobs, int shards = 1, bool route_cache = true,
-                sf::core::RoutingPolicyKind policy =
-                    sf::core::RoutingPolicyKind::Greedy,
-                int wavefront = 0)
+fig1SliceReport(int jobs, int shards = 1, bool route_cache = true)
 {
     const auto specs = registry().match("fig1*");
     PlanContext plan_ctx;
@@ -65,8 +61,6 @@ fig1SliceReport(int jobs, int shards = 1, bool route_cache = true,
         sched.jobs = jobs;
         sched.shards = shards;
         sched.routeCache = route_cache;
-        sched.policy = policy;
-        sched.wavefront = wavefront;
         sched.effort = Effort::Quick;
         ExperimentResults results;
         results.spec = spec;
@@ -125,7 +119,13 @@ TEST(EngineIdentity, ShardedEngineMatchesGoldenAtEveryShardCount)
 
 TEST(EngineIdentity, ShardedEngineMatchesGoldenUnderConcurrency)
 {
-    EXPECT_EQ(fig1SliceReport(8, 2), goldenBytes());
+    const std::string golden = goldenBytes();
+    ASSERT_FALSE(golden.empty());
+    for (const int shards : {2, 4}) {
+        EXPECT_EQ(fig1SliceReport(8, shards), golden)
+            << "concurrent sharded engine diverged at --shards "
+            << shards;
+    }
 }
 
 /**
@@ -146,91 +146,6 @@ TEST(EngineIdentity, RouteCacheOffMatchesGoldenAcrossMatrix)
                 << " --shards " << shards;
         }
     }
-}
-
-/**
- * The routing-policy seam (PR 8) replumbed every route decision
- * through core::RoutingPolicy — so an *explicit* `--policy greedy`
- * must still be the incumbent, byte for byte against the
- * seed-engine golden, across the jobs x shards x route-cache
- * matrix. This is the refactor-invisibility pin for the seam
- * itself; the per-query equivalence half lives in
- * test_routing_policy.cpp.
- */
-TEST(EngineIdentity, GreedyPolicyViaSeamMatchesGoldenAcrossMatrix)
-{
-    const std::string golden = goldenBytes();
-    ASSERT_FALSE(golden.empty());
-    for (const int jobs : {1, 8}) {
-        for (const int shards : {1, 4}) {
-            for (const bool cache : {true, false}) {
-                EXPECT_EQ(
-                    fig1SliceReport(
-                        jobs, shards, cache,
-                        sf::core::RoutingPolicyKind::Greedy),
-                    golden)
-                    << "--policy greedy diverged at --jobs "
-                    << jobs << " --shards " << shards
-                    << " --route-cache " << (cache ? "on" : "off");
-            }
-        }
-    }
-}
-
-/**
- * The commit-wavefront scheduler (`--wavefront N`, PR 10) splits
- * arbitration into buffered per-node decide tasks and a serial
- * sigma-order commit replay; the whole point of the replay is that
- * the report stays the seed engine's, byte for byte, at every
- * width. Width 0 is the serial phase pipeline and anchors the
- * matrix; widths 2 and 8 drive the decide/commit ring across the
- * jobs x shards x route-cache cross the acceptance bar names.
- */
-TEST(EngineIdentity, WavefrontMatchesGoldenAcrossMatrix)
-{
-    const std::string golden = goldenBytes();
-    ASSERT_FALSE(golden.empty());
-    for (const int wavefront : {0, 2, 8}) {
-        for (const int jobs : {1, 8}) {
-            for (const int shards : {1, 4}) {
-                for (const bool cache : {true, false}) {
-                    EXPECT_EQ(
-                        fig1SliceReport(
-                            jobs, shards, cache,
-                            sf::core::RoutingPolicyKind::Greedy,
-                            wavefront),
-                        golden)
-                        << "--wavefront " << wavefront
-                        << " diverged at --jobs " << jobs
-                        << " --shards " << shards
-                        << " --route-cache "
-                        << (cache ? "on" : "off");
-                }
-            }
-        }
-    }
-}
-
-/**
- * Decide/commit handoff under ThreadSanitizer (the `*Sharded*`
- * name routes this test into the CI TSan job's filter): width-4
- * wavefront over the width-4 sharded route plane at --jobs 8, so
- * pool threads interleave decide tasks, sigma-order commits, lazy
- * route-cache fills, and cross-node VCT reservation reads in one
- * run. The byte-identity assertion doubles as the functional
- * check; TSan proves the wfCommitted_ release/acquire chain and
- * the job-tag CAS protocol actually order those accesses.
- */
-TEST(EngineIdentity, WavefrontShardedHandoffMatchesGolden)
-{
-    const std::string golden = goldenBytes();
-    ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(fig1SliceReport(8, 4, true,
-                              sf::core::RoutingPolicyKind::Greedy,
-                              4),
-              golden)
-        << "wavefront decide/commit handoff diverged under "
-           "concurrent sharded execution";
 }
 
 } // namespace

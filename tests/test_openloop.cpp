@@ -248,10 +248,9 @@ using namespace sf::exp;
 /** The driver's `sfx run hockey_stick --quick --runs '*SF*'` flow,
  *  in-process: plan, filter to the String Figure slice, schedule,
  *  report — at any job count, route-plane shard count, route cache
- *  setting, commit-wavefront width, and routing policy. */
+ *  setting, and routing policy. */
 std::string
 hockeySliceReport(int jobs, int shards = 1, bool route_cache = true,
-                  int wavefront = 0,
                   core::RoutingPolicyKind policy =
                       core::RoutingPolicyKind::Greedy)
 {
@@ -271,7 +270,6 @@ hockeySliceReport(int jobs, int shards = 1, bool route_cache = true,
         sched.jobs = jobs;
         sched.shards = shards;
         sched.routeCache = route_cache;
-        sched.wavefront = wavefront;
         sched.policy = policy;
         sched.effort = Effort::Quick;
         ExperimentResults results;
@@ -337,32 +335,6 @@ TEST(HockeyStick, RouteCacheOffMatchesGoldenAcrossMatrix)
     }
 }
 
-/** The commit-wavefront scheduler must leave the open-loop family's
- *  bytes untouched at every width, crossed against the other two
- *  execution knobs. Width 0 is the serial phase pipeline (already
- *  pinned above, kept here as the matrix anchor); widths 2 and 8
- *  engage the decide/commit ring on the near-saturation points. */
-TEST(HockeyStick, WavefrontMatchesGoldenAcrossMatrix)
-{
-    const std::string golden = hockeyGoldenBytes();
-    ASSERT_FALSE(golden.empty());
-    for (const int wavefront : {0, 2, 8}) {
-        for (const int jobs : {1, 8}) {
-            for (const int shards : {1, 4}) {
-                for (const bool cache : {true, false}) {
-                    EXPECT_EQ(hockeySliceReport(jobs, shards,
-                                                cache, wavefront),
-                              golden)
-                        << "--wavefront " << wavefront
-                        << " diverged at --jobs " << jobs
-                        << " --shards " << shards
-                        << (cache ? "" : " --route-cache off");
-                }
-            }
-        }
-    }
-}
-
 /** The UGAL policy rides the same determinism contract: its own
  *  committed golden (tests/golden/hockey_sf64_ugal_quick.json,
  *  regenerated via `sfx run hockey_stick --quick --runs '*SF*'
@@ -378,7 +350,7 @@ TEST(HockeyStick, UgalMatchesGoldenAcrossMatrix)
         for (const int shards : {1, 4}) {
             EXPECT_EQ(
                 hockeySliceReport(
-                    jobs, shards, true, 0,
+                    jobs, shards, true,
                     core::RoutingPolicyKind::Ugal),
                 golden)
                 << "UGAL diverged at --jobs " << jobs

@@ -612,4 +612,32 @@ TEST(SfxCli, CheckpointRejectsMismatchedInvocation)
               2); // not a checkpoint directory
 }
 
+/** Count flags take a whole decimal integer in [1, INT_MAX]:
+ *  trailing junk, signs, zero and out-of-range values exit 2 with
+ *  a message naming the flag instead of truncating or overflowing. */
+TEST(SfxCli, RejectsMalformedCountFlags)
+{
+    for (const char *flag : {"--jobs", "--shards", "--max-runs"}) {
+        for (const char *bad :
+             {"4x", "2abc", "3z", "", "0", "-1", "+2",
+              "99999999999", "-18446744073709551615",
+              "18446744073709551616"}) {
+            testing::internal::CaptureStderr();
+            EXPECT_EQ(callSfx({"sfx", "run", "table2_features",
+                               "--list-runs", flag, bad}),
+                      2)
+                << flag << " '" << bad << "'";
+            EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                          flag),
+                      std::string::npos);
+        }
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(callSfx({"sfx", "run", "table2_features",
+                           "--list-runs", flag, "3"}),
+                  0)
+            << flag;
+        testing::internal::GetCapturedStdout();
+    }
+}
+
 } // namespace

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 
 #include "core/string_figure.hpp"
 #include "exp/work_pool.hpp"
@@ -322,25 +322,12 @@ INSTANTIATE_TEST_SUITE_P(
  * structural audit (ReconfigEngine::checkInvariants) must also come
  * back clean — wire state, ring closures, and routing tables stay
  * consistent exactly when traffic is in flight.
- *
- * @p wavefront > 0 runs the identical scenario through the
- * decide/commit wavefront scheduler (over a private pool of that
- * width), so the audit also covers the buffered-effects engine —
- * including its conservative removal classification on a gated
- * topology, which this scenario exercises directly.
  */
-void
-conservationInvariantAtEveryStep(int wavefront)
+TEST(Network, ConservationInvariantAtEveryStep)
 {
     core::StringFigure topo(sfParams(64, 8));
     SimConfig cfg;
-    cfg.wavefront = wavefront;
     NetworkModel net(topo, cfg);
-    std::unique_ptr<exp::WorkPool> pool;
-    if (wavefront > 0) {
-        pool = std::make_unique<exp::WorkPool>(wavefront);
-        net.setWavefrontExecutor(pool.get());
-    }
     std::uint64_t dropped = 0;
     net.setDropHandler(
         [&](const Packet &, Cycle) { ++dropped; });
@@ -421,14 +408,14 @@ conservationInvariantAtEveryStep(int wavefront)
     EXPECT_EQ(net.sourceQueueBacklog(), 0u);
 }
 
-TEST(Network, ConservationInvariantAtEveryStep)
+/** The removed commit-wavefront scheduler's knob must fail loudly,
+ *  not silently fall back to the serial walk. */
+TEST(Network, ConstructorRejectsWavefront)
 {
-    conservationInvariantAtEveryStep(0);
-}
-
-TEST(Network, ConservationInvariantAtEveryStepWavefront4)
-{
-    conservationInvariantAtEveryStep(4);
+    const topos::MeshTopology mesh(4, 4);
+    SimConfig cfg;
+    cfg.wavefront = 2;
+    EXPECT_THROW(NetworkModel(mesh, cfg), std::invalid_argument);
 }
 
 TEST(Reconfiguration, GatingDuringOperationDropsOnlyStrays)

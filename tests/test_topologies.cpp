@@ -219,6 +219,9 @@ TEST(Factory, ThrowsOnUnsupported)
 TEST(Factory, OdmMultiplierAtLeastOne)
 {
     EXPECT_GE(matchOdmMultiplier(64, 1), 1);
+    // The memo is per (n, seed): the seed-1 answer above must not
+    // stand in for seed 2019, whose fresh value is 4.
+    EXPECT_EQ(matchOdmMultiplier(64, 2019), 4);
 }
 
 } // namespace
