@@ -186,13 +186,18 @@ Json::dump(int indent) const
 
 namespace {
 
+/** Deepest array/object nesting the parser accepts. It recurses once
+ *  per level, so an unbounded input would overflow the stack; 512
+ *  is far beyond any report or checkpoint entry. */
+constexpr int kMaxNesting = 512;
+
 class Parser {
   public:
     explicit Parser(std::string_view text) : text_(text) {}
 
     Json document()
     {
-        Json v = value();
+        Json v = value(0);
         skipWs();
         if (pos_ != text_.size())
             fail("trailing characters");
@@ -205,7 +210,7 @@ class Parser {
         skipWs();
         while (pos_ < text_.size()) {
             try {
-                out.push_back(value());
+                out.push_back(value(0));
             } catch (const JsonError &) {
                 // A parse failure *at* end of input is a document
                 // cut off mid-write; anywhere earlier it is real
@@ -265,12 +270,13 @@ class Parser {
         pos_ += word.size();
     }
 
-    Json value()
+    /** A value inside @p depth enclosing arrays/objects. */
+    Json value(int depth)
     {
         skipWs();
         switch (peek()) {
-        case '{': return object();
-        case '[': return array();
+        case '{': return object(depth + 1);
+        case '[': return array(depth + 1);
         case '"': return Json(string());
         case 't': literal("true"); return Json(true);
         case 'f': literal("false"); return Json(false);
@@ -279,8 +285,10 @@ class Parser {
         }
     }
 
-    Json object()
+    Json object(int depth)
     {
+        if (depth > kMaxNesting)
+            fail("nesting too deep");
         expect('{');
         Json obj = Json::object();
         skipWs();
@@ -291,7 +299,7 @@ class Parser {
             std::string key = string();
             skipWs();
             expect(':');
-            obj.asObject().emplace_back(std::move(key), value());
+            obj.asObject().emplace_back(std::move(key), value(depth));
             skipWs();
             if (consume('}'))
                 return obj;
@@ -299,15 +307,17 @@ class Parser {
         }
     }
 
-    Json array()
+    Json array(int depth)
     {
+        if (depth > kMaxNesting)
+            fail("nesting too deep");
         expect('[');
         Json arr = Json::array();
         skipWs();
         if (consume(']'))
             return arr;
         while (true) {
-            arr.push(value());
+            arr.push(value(depth));
             skipWs();
             if (consume(']'))
                 return arr;

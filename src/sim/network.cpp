@@ -54,6 +54,7 @@ NetworkModel::NetworkModel(const net::Topology &topo,
     outputGrantAt_.assign(links, Cycle(-1));
     inputGrantAt_.assign(links, Cycle(-1));
     vcs_.resize(links * static_cast<std::size_t>(totalVcs()));
+    linkReserved_.assign(links, 0);
     for (LinkId l = 0; l < static_cast<LinkId>(links); ++l) {
         for (int v = 0; v < totalVcs(); ++v) {
             VcState &vc = vcs_[vcStateIndex(l, v)];
@@ -132,10 +133,8 @@ NetworkModel::nodeQuiescent(NodeId u) const
     if (!sourceQueue_[u].empty() || pendingArrivals_[u] > 0)
         return false;
     for (LinkId id : topo_->graph().inLinks(u)) {
-        for (int v = 0; v < totalVcs(); ++v) {
-            if (vcs_[vcStateIndex(id, v)].flitsReserved > 0)
-                return false;
-        }
+        if (linkReserved_[id] > 0)
+            return false;
     }
     return true;
 }
@@ -148,6 +147,15 @@ NetworkModel::audit() const
         acc.sourceQueued += q.size;
     for (const VcState &vc : vcs_)
         acc.vcBuffered += vc.fifo.size;
+    const std::size_t vcs = static_cast<std::size_t>(totalVcs());
+    for (std::size_t l = 0; l < linkReserved_.size(); ++l) {
+        std::uint32_t sum = 0;
+        for (std::size_t v = 0; v < vcs; ++v)
+            sum += static_cast<std::uint32_t>(
+                vcs_[l * vcs + v].flitsReserved);
+        if (sum != linkReserved_[l])
+            ++acc.reservedMismatches;
+    }
     acc.onLinks = arrivals_.size();
     acc.localPending = localDeliveries_.size();
     acc.liveSlots = pool_.liveCount();
@@ -233,21 +241,13 @@ NetworkModel::routeCandidatesFor(NodeId node, Packet &p)
 void
 NetworkModel::fillCongestionSnapshot()
 {
-    // Sum flitsReserved over each link's VCs: flits committed to
-    // land in that link's input buffers — the engine's queue-depth
-    // estimate. Written only here, on the serial engine thread,
-    // before any route (serial or sharded) is computed this cycle.
-    const int vcs = totalVcs();
-    const std::size_t links = congestionFlits_.size();
-    for (std::size_t l = 0; l < links; ++l) {
-        std::uint32_t sum = 0;
-        const std::size_t base = l * static_cast<std::size_t>(vcs);
-        for (int v = 0; v < vcs; ++v)
-            sum += static_cast<std::uint32_t>(
-                vcs_[base + static_cast<std::size_t>(v)]
-                    .flitsReserved);
-        congestionFlits_[l] = sum;
-    }
+    // Each link's flitsReserved summed over its VCs: flits committed
+    // to land in that link's input buffers — the engine's queue-depth
+    // estimate, kept live by adjustReserved. Written only here, on
+    // the serial engine thread, before any route (serial or sharded)
+    // is computed this cycle.
+    std::copy(linkReserved_.begin(), linkReserved_.end(),
+              congestionFlits_.begin());
 }
 
 void
@@ -384,7 +384,7 @@ NetworkModel::step(Cycle now)
         const Clock::time_point t0 = Clock::now();
         phaseLand(now);
         const Clock::time_point t1 = Clock::now();
-        phaseSnapshot(now);
+        phaseSnapshot();
         const Clock::time_point t2 = Clock::now();
         phaseRoute(now);
         const Clock::time_point t3 = Clock::now();
@@ -397,7 +397,7 @@ NetworkModel::step(Cycle now)
         ++stats_.phaseProfiledCycles;
     } else {
         phaseLand(now);
-        phaseSnapshot(now);
+        phaseSnapshot();
         phaseRoute(now);
         phaseArbitrate(now);
     }
@@ -451,31 +451,28 @@ NetworkModel::phaseLand(Cycle now)
 }
 
 void
-NetworkModel::phaseSnapshot(Cycle now)
+NetworkModel::phaseSnapshot()
 {
     // Freeze this cycle's congestion snapshot (adaptive policies
     // only): after arrivals landed, before any route — serial or
     // sharded — is computed, so every route decision this cycle
     // reads the same frozen queue depths regardless of shard count
-    // or arbitration order. Adaptive policies then route every
-    // cycle-start head at this barrier even without a route
-    // executor: a snapshot-dependent decision deferred to a later
-    // cycle would read a different snapshot, so lazy serial routing
-    // and barrier-sharded routing would diverge (see
-    // precomputeRoutes).
-    if (policy_->congestionAware()) {
+    // or arbitration order.
+    if (policy_->congestionAware())
         fillCongestionSnapshot();
-        if (!routeExecutor_)
-            precomputeRoutes(now);
-    }
 }
 
 void
 NetworkModel::phaseRoute(Cycle now)
 {
     // Sharded route plane: fill in this cycle's pure routes
-    // concurrently before any serial state advances.
-    if (routeExecutor_)
+    // concurrently before any serial state advances. Adaptive
+    // policies route every cycle-start head here even without a
+    // route executor: a snapshot-dependent decision deferred to a
+    // later cycle would read a different snapshot, so lazy serial
+    // routing and barrier-sharded routing would diverge (see
+    // precomputeRoutes).
+    if (routeExecutor_ || policy_->congestionAware())
         precomputeRoutes(now);
 }
 
@@ -534,7 +531,7 @@ NetworkModel::arbitrateNode(NodeId node, Cycle now)
         }
         if (!p.routed && !computeRoute(node, p, now)) {
             // Destination unreachable (gated): drop the packet.
-            vc.flitsReserved -= p.flits;
+            adjustReserved(vc, -p.flits);
             vc.fifo.pop(pool_);
             vc.headSince = now;
             ++dropped_;
@@ -548,7 +545,7 @@ NetworkModel::arbitrateNode(NodeId node, Cycle now)
         if (tryForward(node, p, slot, now)) {
             const bool ejected = p.dst == node;
             inputGrantAt_[link] = now;
-            vc.flitsReserved -= p.flits;
+            adjustReserved(vc, -p.flits);
             vc.fifo.pop(pool_);
             vc.headSince = now;
             lastProgress_ = now;
@@ -722,7 +719,7 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
     }
 
     const int dvc = downstreamVcIndex(p);
-    vcs_[vcStateIndex(link, dvc)].flitsReserved += p.flits;
+    adjustReserved(vcs_[vcStateIndex(link, dvc)], p.flits);
     ++pendingArrivals_[l.dst];
     const Cycle arrival = now + p.flits - 1 + l.latency +
                           cfg_.serdesCycles;

@@ -105,9 +105,11 @@
  * routeCandidates, so routing through the seam is the incumbent
  * behaviour byte for byte. Adaptive policies additionally read a
  * CongestionSnapshot — per-link queued flits summed over VCs —
- * filled exactly once per cycle in step(), after arrivals land and
+ * frozen exactly once per cycle in step(), after arrivals land and
  * before any route is computed (the same barrier the sharded route
- * plane fans out from). Freezing the snapshot there keeps every
+ * plane fans out from). The sums are kept live as linkReserved_,
+ * updated wherever a VC's flitsReserved changes, so freezing is a
+ * copy of one word per link. Freezing the snapshot there keeps every
  * policy a pure per-cycle function: the serial loop, the sharded
  * route plane, and any shard count all read identical inputs, so
  * reports stay byte-identical across shards for every policy. The
@@ -267,6 +269,9 @@ class NetworkModel
         std::uint64_t onLinks = 0;       ///< arrival queue (in wire)
         std::uint64_t localPending = 0;  ///< src == dst loopbacks
         std::uint64_t liveSlots = 0;     ///< pool slots claimed
+        /** Links whose live reserved-flit total differs from the
+         *  sum of their VCs' flitsReserved; must always be 0. */
+        std::uint64_t reservedMismatches = 0;
 
         std::uint64_t
         total() const
@@ -276,7 +281,8 @@ class NetworkModel
         }
     };
 
-    /** Audit packet conservation (walks every queue; test-only). */
+    /** Audit packet conservation and the per-link reserved-flit
+     *  totals (walks every queue and VC; test-only). */
     Accounting audit() const;
 
   private:
@@ -326,6 +332,16 @@ class NetworkModel
                static_cast<std::size_t>(vc_index);
     }
 
+    /** Change @p vc's flitsReserved by @p flits and its link's live
+     *  total with it — the only writer of either, so the two cannot
+     *  drift. */
+    void
+    adjustReserved(VcState &vc, int flits)
+    {
+        vc.flitsReserved += flits;
+        linkReserved_[vc.link] += static_cast<std::uint32_t>(flits);
+    }
+
     /** One unit of route-plane work: the head packet in @p slot is
      *  parked at @p node and needs greedy candidates. */
     struct RouteJob {
@@ -335,7 +351,7 @@ class NetworkModel
 
     // Phase pipeline (see the file header / docs/engine_phases.md).
     void phaseLand(Cycle now);
-    void phaseSnapshot(Cycle now);
+    void phaseSnapshot();
     void phaseRoute(Cycle now);
     void phaseArbitrate(Cycle now);
     /** Arbitrate @p node's input VCs and source port, applying
@@ -371,9 +387,10 @@ class NetworkModel
      * @return Number of candidates written into p.candidates.
      */
     std::size_t routeCandidatesFor(NodeId node, Packet &p);
-    /** Freeze this cycle's CongestionSnapshot (per-link queued
-     *  flits summed over VCs). Called once per step(), before any
-     *  route is computed; only when the policy reads it. */
+    /** Freeze this cycle's CongestionSnapshot: copy the live
+     *  per-link totals (linkReserved_). Called once per step(),
+     *  before any route is computed; only when the policy reads
+     *  it. */
     void fillCongestionSnapshot();
     /**
      * Move head packet @p p (pool slot @p slot) one hop, or eject
@@ -401,6 +418,10 @@ class NetworkModel
     /** VC buffers at each link's destination, flattened to one
      *  contiguous array: index link * totalVcs() + vc. */
     std::vector<VcState> vcs_;
+    /** Per link: the sum of its VCs' flitsReserved, kept live by
+     *  adjustReserved (the snapshot source and the quiescence
+     *  test). */
+    std::vector<std::uint32_t> linkReserved_;
     std::vector<PacketFifo> sourceQueue_;  ///< per node
     std::uint64_t sourceBacklog_ = 0;
     std::vector<Cycle> sourceBusyUntil_;
@@ -430,8 +451,10 @@ class NetworkModel
     std::unique_ptr<core::RouteCache> routeCache_;
     /** The routing-policy seam (never null; greedy by default). */
     std::unique_ptr<core::RoutingPolicy> policy_;
-    /** Per-link queued-flit totals frozen at the cycle barrier;
-     *  sized once (only for congestion-aware policies). */
+    /** Copy of linkReserved_ frozen at the cycle barrier; sized
+     *  once (only for congestion-aware policies). Never aliases the
+     *  live totals: a drop or deliver handler may inject during the
+     *  walk, and routes must still read the barrier values. */
     std::vector<std::uint32_t> congestionFlits_;
     /** Read-only view over congestionFlits_ handed to route(). */
     core::CongestionSnapshot congestion_;

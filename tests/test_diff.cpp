@@ -400,6 +400,16 @@ TEST(Diff, BlessRegeneratesTheBaselineInPlace)
     EXPECT_EQ(callSfx({"sfx", "diff", base, cur}), 0);
 }
 
+/** A report nested past the parser's depth cap is an input error
+ *  (exit 2), not a stack overflow. */
+TEST(Diff, DeeplyNestedReportExitsTwo)
+{
+    TempDir dir;
+    const std::string deep = dir.file("deep.json");
+    writeFile(deep, std::string(100000, '['));
+    EXPECT_EQ(callSfx({"sfx", "diff", deep, deep}), 2);
+}
+
 TEST(Diff, JsonFlagPrintsTheStructuredDocument)
 {
     TempDir dir;

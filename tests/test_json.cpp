@@ -89,6 +89,27 @@ TEST(Json, ParseErrors)
     EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
     EXPECT_THROW(Json::parse("1 2"), JsonError);
     EXPECT_THROW(Json::parse("{\"a\" 1}"), JsonError);
+
+    // Nesting is capped at 512 levels: deeper input throws at the
+    // bracket that crosses the cap instead of overflowing the stack.
+    const auto error = [](const std::string &text) -> std::string {
+        try {
+            (void)Json::parse(text);
+        } catch (const JsonError &e) {
+            return e.what();
+        }
+        return "parsed";
+    };
+    EXPECT_EQ(error(std::string(100000, '[')),
+              "JSON parse error at offset 512: nesting too deep");
+    std::string objects;
+    for (int i = 0; i < 513; ++i)
+        objects += "{\"a\":";
+    EXPECT_EQ(error(objects),
+              "JSON parse error at offset 2560: nesting too deep");
+    EXPECT_TRUE(Json::parse(std::string(512, '[') +
+                            std::string(512, ']'))
+                    .isArray());
 }
 
 TEST(Json, RoundTripIsByteStable)

@@ -229,6 +229,34 @@ TEST(CrashRecovery, FlippedByteQuarantinedAndReRun)
 }
 
 /**
+ * An entry nested deeper than the JSON parser's cap is corrupt like
+ * any other parse failure — quarantined and re-run — where an
+ * uncapped recursive parser would overflow the stack.
+ */
+TEST(CrashRecovery, DeeplyNestedEntryQuarantinedAndReRun)
+{
+    const ExperimentSpec spec =
+        countingSpec(nullptr, "deep_toy", kRuns);
+    const std::string reference = sweep(spec, nullptr);
+
+    TempDir dir;
+    {
+        RunStore store(dir.path());
+        (void)sweep(spec, &store);
+    }
+    writeFile(RunStore(dir.path()).entryPath("deep_toy", "grid/r2"),
+              std::string(100000, '['));
+
+    std::atomic<int> executions{0};
+    const ExperimentSpec counted =
+        countingSpec(&executions, "deep_toy", kRuns);
+    RunStore fresh(dir.path());
+    EXPECT_EQ(sweep(counted, &fresh), reference);
+    EXPECT_EQ(executions.load(), 1);
+    EXPECT_EQ(fresh.stats().quarantined, 1u);
+}
+
+/**
  * Bugfix pin — the same entry quarantined twice (corrupted, re-run
  * and re-stored, corrupted again: exactly what repeated resumes of
  * a sweep on flaky storage produce) must preserve BOTH corpses.

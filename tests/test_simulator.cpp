@@ -321,12 +321,16 @@ INSTANTIATE_TEST_SUITE_P(
  * mid-traffic topology change the reconfiguration engine's own
  * structural audit (ReconfigEngine::checkInvariants) must also come
  * back clean — wire state, ring closures, and routing tables stay
- * consistent exactly when traffic is in flight.
+ * consistent exactly when traffic is in flight. The audit also
+ * recounts every link's reserved flits, which must equal the live
+ * per-link total the congestion snapshot copies.
  */
-TEST(Network, ConservationInvariantAtEveryStep)
+void
+checkConservationAtEveryStep(core::RoutingPolicyKind policy)
 {
     core::StringFigure topo(sfParams(64, 8));
     SimConfig cfg;
+    cfg.policy = policy;
     NetworkModel net(topo, cfg);
     std::uint64_t dropped = 0;
     net.setDropHandler(
@@ -344,6 +348,7 @@ TEST(Network, ConservationInvariantAtEveryStep)
                   net.stats().deliveredPackets + dropped +
                       acc.liveSlots);
         ASSERT_EQ(acc.sourceQueued, net.sourceQueueBacklog());
+        ASSERT_EQ(acc.reservedMismatches, 0u);
     };
     for (; cycle < 1500; ++cycle) {
         // Heavy mixed traffic, including src == dst loopbacks.
@@ -406,6 +411,21 @@ TEST(Network, ConservationInvariantAtEveryStep)
     EXPECT_EQ(final_acc.total(), 0u);
     EXPECT_EQ(final_acc.liveSlots, 0u);
     EXPECT_EQ(net.sourceQueueBacklog(), 0u);
+}
+
+/** Greedy routes lazily inside arbitration; UGAL routes every head
+ *  at the barrier from the snapshot and rebuilds its distance table
+ *  at each gate and ungate. */
+TEST(Network, ConservationInvariantAtEveryStep)
+{
+    for (const core::RoutingPolicyKind policy :
+         {core::RoutingPolicyKind::Greedy,
+          core::RoutingPolicyKind::Ugal}) {
+        SCOPED_TRACE(core::routingPolicyName(policy));
+        checkConservationAtEveryStep(policy);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 /** The removed commit-wavefront scheduler's knob must fail loudly,
