@@ -23,6 +23,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -34,12 +36,21 @@ namespace sf::core {
 /** Coordinate in [0, 1) on a virtual-space ring. */
 using Coord = double;
 
+// Both distances are written as selects, not branches: they run
+// ~80 times per routing decision on random data, and these forms
+// compile to fabs/min and compare-and-mask. They are bit-identical
+// to the branchy forms: IEEE subtraction is sign-symmetric, so
+// |a - b| is exactly the larger-minus-smaller difference; for
+// d in [0, 1], min(d, 1 - d) picks the same value as
+// d <= 0.5 ? d : 1 - d; and d + 0.0 is d (it could only turn -0.0
+// into +0.0, which no comparison tells apart).
+
 /** Symmetric circular distance between two coordinates. */
 inline Coord
 circularDistance(Coord a, Coord b)
 {
-    const Coord d = a > b ? a - b : b - a;
-    return d <= 0.5 ? d : 1.0 - d;
+    const Coord d = std::fabs(a - b);
+    return std::min(d, 1.0 - d);
 }
 
 /** Clockwise (increasing-coordinate) distance from @p a to @p b. */
@@ -47,7 +58,7 @@ inline Coord
 clockwiseDistance(Coord a, Coord b)
 {
     const Coord d = b - a;
-    return d >= 0.0 ? d : d + 1.0;
+    return d + (d < 0.0 ? 1.0 : 0.0);
 }
 
 /** Coordinate assignment policy. */

@@ -5,25 +5,32 @@
 
 namespace sf::core {
 
+namespace {
+
+/** MD between coordinate rows @p cu and @p ct (one Coord per space;
+ *  the same count in both). */
+Coord
+rowDistance(const std::vector<Coord> &cu, const Coord *ct,
+            bool directed)
+{
+    Coord best = 2.0;
+    for (std::size_t s = 0; s < cu.size(); ++s) {
+        const Coord d = directed ? clockwiseDistance(cu[s], ct[s])
+                                 : circularDistance(cu[s], ct[s]);
+        best = std::min(best, d);
+    }
+    return best;
+}
+
+} // namespace
+
 Coord
 GreedyRouter::distance(NodeId u, NodeId t) const
 {
-    const VirtualSpaces &vs = data_->spaces;
-    const bool directed =
-        data_->params.linkMode == LinkMode::Unidirectional;
-    // One row fetch per node, not one per space: this runs a few
-    // hundred times per forwarding decision.
-    const std::vector<Coord> &cu = vs.coords(u);
-    const std::vector<Coord> &ct = vs.coords(t);
-    const std::size_t spaces = cu.size();
-    Coord best = 2.0;
-    for (std::size_t s = 0; s < spaces; ++s) {
-        const Coord d = directed ? clockwiseDistance(cu[s], ct[s])
-                                 : circularDistance(cu[s], ct[s]);
-        if (d < best)
-            best = d;
-    }
-    return best;
+    return rowDistance(data_->spaces.coords(u),
+                       data_->spaces.coords(t).data(),
+                       data_->params.linkMode ==
+                           LinkMode::Unidirectional);
 }
 
 std::size_t
@@ -33,8 +40,17 @@ GreedyRouter::candidates(NodeId current, NodeId dest, bool widen,
     assert(current != dest);
     if (out.empty())
         return 0;
-    const RoutingTable &table = tables_->table(current);
-    const Coord md_here = distance(current, dest);
+    const std::vector<TableEntry> &entries =
+        tables_->table(current).entries();
+    const VirtualSpaces &vs = data_->spaces;
+    const bool directed =
+        data_->params.linkMode == LinkMode::Unidirectional;
+    // One row fetch for the destination, not one per entry.
+    const Coord *ct = vs.coords(dest).data();
+    const auto md_to_dest = [&](NodeId u) {
+        return rowDistance(vs.coords(u), ct, directed);
+    };
+    const Coord md_here = md_to_dest(current);
 
     // Plans per first-hop link: the best MD reachable within the
     // table horizon through that link. A plan qualifies when its
@@ -53,44 +69,76 @@ GreedyRouter::candidates(NodeId current, NodeId dest, bool widen,
         Coord planValue;  ///< best MD in this plan
         bool qualifies;   ///< some target strictly improves
     };
-    // One plan per one-hop entry: a fixed stack array keeps the
-    // per-hop fast path allocation-free.
+    // One plan per one-hop entry: fixed stack arrays keep the
+    // per-hop fast path allocation-free. planOf maps a one-hop
+    // entry's table index to its plan (kNoPlan: no plan).
+    constexpr std::uint8_t kNoPlan = 0xFF;
+    static_assert(kMaxPlans < kNoPlan);
     Ranked plans[kMaxPlans];
+    std::uint8_t planOf[kMaxPlans];
+    std::fill(std::begin(planOf), std::end(planOf), kNoPlan);
     std::size_t num_plans = 0;
-    for (const TableEntry &e : table.entries()) {
-        if (e.hops != 1 || !e.usable())
+    std::size_t i = 0;
+    for (; i < entries.size() && entries[i].hops == 1; ++i) {
+        const TableEntry &e = entries[i];
+        if (!e.usable())
             continue;
         if (e.node == dest) {
             // Direct delivery always wins outright.
             out[0] = e.viaLink;
             return 1;
         }
-        assert(num_plans < kMaxPlans);
-        if (num_plans >= kMaxPlans)
+        assert(i < kMaxPlans);
+        if (i >= kMaxPlans)
             continue;
-        const Coord md = distance(e.node, dest);
+        const Coord md = md_to_dest(e.node);
+        planOf[i] = static_cast<std::uint8_t>(num_plans);
         plans[num_plans++] =
             Ranked{e.viaLink, e.node, md, md, md < md_here};
     }
 
     // Two-hop lookahead: fold each two-hop entry into the plan of
-    // its first-hop link. (Nothing to fold into when no one-hop
-    // plan exists, so the distance evaluations are skipped.)
+    // the one-hop entry it is reached through. (Nothing to fold
+    // into when no one-hop plan exists, so the distance
+    // evaluations are skipped.)
     if (data_->params.twoHopTable && num_plans > 0) {
-        for (const TableEntry &e : table.entries()) {
-            if (e.hops != 2 || !e.usable())
+        for (; i < entries.size(); ++i) {
+            const TableEntry &e = entries[i];
+            if (!e.usable() || e.viaEntry >= kMaxPlans)
                 continue;
-            const Coord md = distance(e.node, dest);
-            for (std::size_t i = 0; i < num_plans; ++i) {
-                Ranked &plan = plans[i];
-                if (plan.via != e.viaLink)
-                    continue;
-                if (md < plan.planValue)
-                    plan.planValue = md;
-                if (md < md_here)
-                    plan.qualifies = true;
-            }
+            const std::uint8_t p = planOf[e.viaEntry];
+            if (p == kNoPlan)
+                continue;
+            const Coord md = md_to_dest(e.node);
+            Ranked &plan = plans[p];
+            plan.planValue = std::min(plan.planValue, md);
+            plan.qualifies |= md < md_here;
         }
+    }
+
+    // (planValue, oneHopMd, node) is a strict total order: node ids
+    // of one-hop entries are distinct.
+    const auto better = [](const Ranked &a, const Ranked &b) {
+        if (a.planValue != b.planValue)
+            return a.planValue < b.planValue;
+        if (a.oneHopMd != b.oneHopMd)
+            return a.oneHopMd < b.oneHopMd;
+        return a.node < b.node;  // deterministic ties
+    };
+
+    if (!widen || out.size() == 1) {
+        // One candidate: the minimum is exactly the head of the
+        // sorted list the widened path builds.
+        const Ranked *best = nullptr;
+        for (std::size_t k = 0; k < num_plans; ++k) {
+            if (plans[k].qualifies &&
+                (best == nullptr || better(plans[k], *best)))
+                best = &plans[k];
+        }
+        if (best == nullptr)
+            return 0;
+        out[0] = best->via;
+        return 1;
     }
 
     num_plans = static_cast<std::size_t>(
@@ -99,22 +147,10 @@ GreedyRouter::candidates(NodeId current, NodeId dest, bool widen,
                            return !p.qualifies;
                        }) -
         plans);
-    if (num_plans == 0)
-        return 0;
-
-    std::sort(plans, plans + num_plans,
-              [](const Ranked &a, const Ranked &b) {
-                  if (a.planValue != b.planValue)
-                      return a.planValue < b.planValue;
-                  if (a.oneHopMd != b.oneHopMd)
-                      return a.oneHopMd < b.oneHopMd;
-                  return a.node < b.node;  // deterministic ties
-              });
-
-    const std::size_t count =
-        std::min(widen ? num_plans : std::size_t{1}, out.size());
-    for (std::size_t i = 0; i < count; ++i)
-        out[i] = plans[i].via;
+    std::sort(plans, plans + num_plans, better);
+    const std::size_t count = std::min(num_plans, out.size());
+    for (std::size_t k = 0; k < count; ++k)
+        out[k] = plans[k].via;
     return count;
 }
 

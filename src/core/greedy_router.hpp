@@ -37,10 +37,11 @@ class GreedyRouter
 {
   public:
     /**
-     * Upper bound on simultaneous first-hop plans: one per one-hop
-     * table entry, i.e. per router out-port. Far above any
-     * configuration this library builds (routerPorts tops out well
-     * below 16 even counting repair wires).
+     * Upper bound on first-hop plans: one per one-hop table entry,
+     * i.e. per router out-port; one-hop entries at table index
+     * kMaxPlans or above get no plan. Far above any configuration
+     * this library builds (routerPorts tops out well below 16 even
+     * counting repair wires).
      */
     static constexpr std::size_t kMaxPlans = 64;
 

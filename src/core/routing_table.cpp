@@ -29,6 +29,8 @@ RoutingTable::rebuild(NodeId self, const net::Graph &g)
     const std::size_t n_one_hop = entries_.size();
     for (std::size_t i = 0; i < n_one_hop; ++i) {
         const TableEntry first = entries_[i];
+        const auto via_entry = static_cast<std::uint8_t>(
+            std::min<std::size_t>(i, TableEntry::kNoEntry));
         for (LinkId id : g.outLinks(first.node)) {
             const net::Link &l = g.link(id);
             if (!l.enabled || l.dst == self)
@@ -38,8 +40,8 @@ RoutingTable::rebuild(NodeId self, const net::Graph &g)
                 [&](const TableEntry &e) { return e.node == l.dst; });
             if (known != entries_.end())
                 continue;
-            entries_.push_back(
-                TableEntry{l.dst, first.viaLink, 2, true, false});
+            entries_.push_back(TableEntry{l.dst, first.viaLink, 2,
+                                          true, false, via_entry});
         }
     }
 }

@@ -26,15 +26,24 @@ namespace sf::core {
 
 /** One routing-table row. */
 struct TableEntry {
+    /** viaEntry of a one-hop entry, or of a two-hop entry whose
+     *  one-hop entry sits at a table index too large to encode. */
+    static constexpr std::uint8_t kNoEntry = 0xFF;
+
     NodeId node = kInvalidNode;  ///< The 1-/2-hop neighbour.
     LinkId viaLink = kInvalidLink;  ///< First-hop link toward it.
     std::uint8_t hops = 1;       ///< Hop bit: 1 or 2.
     bool valid = true;
     bool blocking = false;
+    /** Two-hop entries: table index of the one-hop entry whose link
+     *  is viaLink (fits the struct's padding). */
+    std::uint8_t viaEntry = kNoEntry;
 
     /** Usable for forwarding decisions right now? */
     bool usable() const { return valid && !blocking; }
 };
+static_assert(sizeof(TableEntry) == 12,
+              "viaEntry must fit TableEntry's padding");
 
 /** Routing table of a single router. */
 class RoutingTable
@@ -43,6 +52,8 @@ class RoutingTable
     /** Rebuild from the enabled out-links of @p self in @p g. */
     void rebuild(NodeId self, const net::Graph &g);
 
+    /** All entries: every one-hop entry precedes every two-hop
+     *  entry. */
     const std::vector<TableEntry> &entries() const { return entries_; }
 
     /** Set the blocking bit on every entry referring to @p node. */

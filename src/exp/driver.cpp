@@ -161,20 +161,30 @@ printUsage(std::FILE *to)
         static_cast<unsigned long long>(kBaseSeed));
 }
 
+/** Parse @p v as a whole unsigned decimal integer: digits only,
+ *  no trailing characters, no overflow. Returns false on anything
+ *  else. */
+bool
+parseDecimal(const char *v, unsigned long long &out)
+{
+    // strtoull skips leading whitespace and accepts a sign, which it
+    // negates, so demand a leading digit.
+    if (!std::isdigit(static_cast<unsigned char>(v[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(v, &end, 10);
+    return errno == 0 && *end == '\0';
+}
+
 /** Parse @p v as a count flag's value: a decimal integer in
- *  [1, INT_MAX], checked like --seed (strtoull with errno and
- *  end-pointer checks). On a bad value, prints a message naming
- *  @p flag and returns false. */
+ *  [1, INT_MAX]. On a bad value, prints a message naming @p flag
+ *  and returns false. */
 bool
 parseCount(const char *flag, const char *v, int &out)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    // strtoull accepts a sign and negates, so demand a leading
-    // digit.
-    if (!std::isdigit(static_cast<unsigned char>(v[0])) ||
-        errno != 0 || *end != '\0' || n < 1 ||
+    unsigned long long n = 0;
+    if (!parseDecimal(v, n) || n < 1 ||
         n > static_cast<unsigned long long>(INT_MAX)) {
         std::fprintf(stderr,
                      "sfx: %s needs an integer in [1, %d], got "
@@ -296,16 +306,15 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
             char *v = need_value("--seed");
             if (!v)
                 return false;
-            char *end = nullptr;
-            errno = 0;
-            opts.baseSeed = std::strtoull(v, &end, 10);
-            if (errno != 0 || end == v || *end != '\0') {
+            unsigned long long seed = 0;
+            if (!parseDecimal(v, seed)) {
                 std::fprintf(stderr,
                              "sfx: --seed needs an unsigned "
                              "integer, got '%s'\n",
                              v);
                 return false;
             }
+            opts.baseSeed = seed;
         } else if (arg == "--runs") {
             char *v = need_value("--runs");
             if (!v)

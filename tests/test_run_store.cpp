@@ -668,4 +668,31 @@ TEST(SfxCli, RejectsMalformedCountFlags)
     }
 }
 
+/** --seed takes a whole decimal integer in [0, 2^64 - 1]: a sign,
+ *  leading whitespace, trailing junk or an overflowing value exits
+ *  2 with a message naming the flag instead of being negated,
+ *  skipped or truncated. */
+TEST(SfxCli, RejectsMalformedSeed)
+{
+    for (const char *bad : {"-1", "+1", " 7", "", "7x",
+                            "18446744073709551616"}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(callSfx({"sfx", "run", "table2_features",
+                           "--list-runs", "--seed", bad}),
+                  2)
+            << "'" << bad << "'";
+        EXPECT_NE(
+            testing::internal::GetCapturedStderr().find("--seed"),
+            std::string::npos);
+    }
+    for (const char *good : {"0", "18446744073709551615"}) {
+        testing::internal::CaptureStdout();
+        EXPECT_EQ(callSfx({"sfx", "run", "table2_features",
+                           "--list-runs", "--seed", good}),
+                  0)
+            << good;
+        testing::internal::GetCapturedStdout();
+    }
+}
+
 } // namespace
