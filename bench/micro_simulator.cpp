@@ -3,10 +3,9 @@
  * Thin wrapper over the sf::exp registry: runs the
  * cycle-engine hot-path benchmark — the same grid
  * `sfx run 'micro_simulator'` executes, with --jobs/--out/--effort
- * available here too. Each load point carries one row per
- * route-plane shard count (n1024/uniform/high/s2, ...), so the
- * report records the sharded engine's scaling curve; rows own
- * their pools, so --jobs 1 still exercises every shard count.
+ * available here too. Each load point carries three rows:
+ * n1024/uniform/<load> (the default engine), .../nocache (the route
+ * cache off) and .../phases (per-phase wall time).
  */
 
 #include "exp/driver.hpp"

@@ -4,10 +4,9 @@
  * dominant greedy-routing cost into array lookups.
  *
  * `Topology::routeCandidates` is a pure function of the immutable
- * topology — that purity is what let the route plane shard (PR 5) —
- * but sharding only divides the cost. At near-saturation n=1024 the
- * same (current, dest) pairs are re-derived millions of times per
- * run (table scan + per-entry multi-space distances + ranking). The
+ * topology. At near-saturation n=1024 the same (current, dest)
+ * pairs are re-derived millions of times per run (table scan +
+ * per-entry multi-space distances + ranking). The
  * RouteCache memoizes the virtual call at the simulator's span size
  * (net::kMaxRouteCandidates), so a repeat lookup is one or two
  * array reads. A cached value is literally the same pure function's
@@ -36,12 +35,7 @@
  *    for pairs that actually inject, 5 bytes each.
  *
  * Rows (one per `current`) are allocated on first touch, so memory
- * tracks the pairs a run actually routes. Concurrent use: the
- * sharded route plane partitions nodes into contiguous blocks and a
- * shard only ever looks up its own nodes as `current`, so each row
- * is read and written by exactly one thread per cycle barrier —
- * plain stores, no atomics, TSan-clean by ownership (the row
- * pointers themselves are pre-sized and never resized).
+ * tracks the pairs a run actually routes.
  */
 
 #pragma once
@@ -58,7 +52,8 @@ namespace sf::core {
  * Memoizes `topo.routeCandidates(current, dest, first_hop, out)`
  * for spans of net::kMaxRouteCandidates entries (the simulator's
  * packet-record size). One instance per NetworkModel; valid only
- * while the topology is immutable.
+ * while the topology is immutable. Lookups fill rows with plain
+ * stores, so an instance must not be shared across threads.
  */
 class RouteCache
 {

@@ -5,10 +5,11 @@
  * the topology's own routing (so routing "through the seam" is the
  * incumbent behaviour, byte for byte); the adaptive (UGAL-L-style)
  * and oracle policies share an all-pairs BFS distance table over
- * *enabled* links, rebuilt eagerly on reconfiguration while the
- * engine is serial. Every `route()` is const and touches only
- * immutable state + the frozen per-cycle snapshot, which is what
- * lets the sharded route plane call them concurrently.
+ * *enabled* links, rebuilt eagerly on reconfiguration at the
+ * engine's cycle barrier. Every `route()` is const and touches only
+ * immutable state + the frozen per-cycle snapshot, so its answer
+ * depends on nothing else and it is safe on a topology that other
+ * runs share across threads.
  */
 
 #include "core/routing_policy.hpp"
@@ -56,9 +57,8 @@ class GreedyPolicy final : public RoutingPolicy
 /**
  * Shared base for table-driven policies: an all-pairs BFS distance
  * table over enabled links. Rebuilt eagerly in the constructor and
- * in onTopologyChanged() (both run on the serial engine thread, the
- * route executor retired), so `dist()` is immutable whenever
- * route-plane shards are live.
+ * in onTopologyChanged() (at a cycle barrier, never mid-step), so
+ * `dist()` is immutable within a topology epoch.
  */
 class DistanceTablePolicy : public RoutingPolicy
 {
@@ -151,8 +151,8 @@ class TableOraclePolicy final : public DistanceTablePolicy
  * (strictly decreasing distance per hop => loop-free and bounded,
  * even when hop 1 was a detour). Ties everywhere break to the
  * lowest-index out-link, so the decision is a pure deterministic
- * function of (topology, packet, snapshot) — exactly what the
- * sharded route plane requires.
+ * function of (topology, packet, snapshot) — exactly what barrier
+ * routing requires.
  */
 class UgalPolicy final : public DistanceTablePolicy
 {

@@ -5,16 +5,16 @@
  * flows through one `RoutingPolicy::route()` call — a *pure*
  * function of (immutable topology, packet destination/first-hop
  * flag, per-cycle congestion snapshot). Purity is the load-bearing
- * property, not a style choice: the sharded route plane (PR 5)
- * computes head-packet routes concurrently at a per-cycle barrier,
- * and the total-event-order constraint (ROADMAP) only admits
- * parallelism inside phases whose outputs are independent of
- * evaluation order. A policy that read *live* queue state would
- * observe mid-cycle arbitration effects and break byte-identity
- * across shard counts; instead, congestion-aware policies read a
+ * property, not a style choice: the route cache memoizes greedy
+ * answers and the engine keeps a head's route until the head moves
+ * or its topology epoch ends, which is exact only if an answer
+ * depends on nothing but these inputs. A policy that read *live*
+ * queue state would also observe mid-cycle arbitration effects, so
+ * its decisions would depend on how far the arbitration walk had
+ * got; instead, congestion-aware policies read a
  * `CongestionSnapshot` frozen once per cycle before any routing —
- * so serial, sharded, and cached engines all see identical inputs
- * and produce identical events.
+ * so cached and uncached engines see identical inputs and produce
+ * identical events.
  *
  * Three policies ship behind the seam:
  *  - `greedy`       — the incumbent: delegates to the topology's own
@@ -73,7 +73,7 @@ bool parseRoutingPolicy(std::string_view name,
 /**
  * Read-only view of per-link queued flits, frozen once per cycle in
  * `NetworkModel::step()` *before* any route is computed that cycle
- * (the same barrier the sharded route plane fans out from). The
+ * (the barrier at which congestion-aware policies route). The
  * value for a link is the sum of `flitsReserved` across all of its
  * virtual channels — flits committed to land in that link's input
  * buffers, the engine's natural queue-depth estimate.
@@ -108,8 +108,10 @@ class CongestionSnapshot
 /**
  * A routing policy. `route()` must be a pure function of the
  * constructor topology, its arguments, and state rebuilt only by
- * `onTopologyChanged()` — it is called concurrently from route-plane
- * shards with no synchronisation, so it must not mutate anything.
+ * `onTopologyChanged()`, and must not mutate anything: the route
+ * cache memoizes its answers, and `--jobs` runs share one cached
+ * topology across threads, whose const routing a policy calls with
+ * no synchronisation.
  * Escape-channel routing, dead-destination handling and delivery
  * short-circuits stay in the engine; a policy only answers "which
  * enabled out-links may this normal-VC packet take next".

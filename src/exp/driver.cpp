@@ -33,12 +33,8 @@ namespace {
 struct CliOptions {
     std::vector<std::string> patterns;
     int jobs = 0; // 0 = hardware concurrency
-    /** Route-plane shards per simulation (sim.shards). Like
-     *  --jobs, an execution knob: reports are byte-identical at
-     *  every value, so resume may override it freely. */
-    int shards = 1;
     /** Memoized route plane (sim.routeCache). An execution knob
-     *  like --shards — byte-identical on or off — kept as a flag
+     *  like --jobs — byte-identical on or off — kept as a flag
      *  for A/B benchmarking; resume may override it freely. */
     bool routeCache = true;
     /** Routing policy (sim.policy). NOT an execution knob:
@@ -95,9 +91,6 @@ printUsage(std::FILE *to)
         "\n"
         "run options:\n"
         "  --jobs N      worker threads (default: all cores)\n"
-        "  --shards N    route-plane shards inside each cycle\n"
-        "                 simulation (default 1 = serial engine;\n"
-        "                 reports are byte-identical at any N)\n"
         "  --route-cache on|off  memoized route plane (default on;\n"
         "                 reports are byte-identical either way)\n"
         "  --policy P    routing policy: greedy | ugal | "
@@ -131,7 +124,7 @@ printUsage(std::FILE *to)
         "interrupt,\n"
         "                 exit 3); finish with `sfx resume DIR`\n"
         "\n"
-        "resume options: --jobs, --shards, --route-cache, --out, "
+        "resume options: --jobs, --route-cache, --out, "
         "--timing, --quiet, --max-runs\n"
         "(pattern, effort, seed, policy, --reconfig-schedule, and "
         "--runs come from the checkpoint's meta.json)\n"
@@ -236,12 +229,6 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
             if (!v)
                 return false;
             if (!parseCount("--jobs", v, opts.jobs))
-                return false;
-        } else if (arg == "--shards") {
-            char *v = need_value("--shards");
-            if (!v)
-                return false;
-            if (!parseCount("--shards", v, opts.shards))
                 return false;
         } else if (arg == "--route-cache") {
             char *v = need_value("--route-cache");
@@ -468,7 +455,6 @@ doRun(const CliOptions &opts)
 
     SchedulerOptions sched;
     sched.jobs = opts.jobs;
-    sched.shards = opts.shards;
     sched.routeCache = opts.routeCache;
     sched.policy = opts.policy;
     sched.effort = opts.effort;
@@ -596,7 +582,6 @@ doRun(const CliOptions &opts)
         ropts.effort = opts.effort;
         ropts.baseSeed = opts.baseSeed;
         ropts.jobs = opts.jobs;
-        ropts.shards = opts.shards;
         ropts.policy = opts.policy;
         ropts.includeTiming = opts.timing;
         try {

@@ -72,7 +72,6 @@ adaptiveSpec()
                         sfParams(n, rc.baseSeed));
                     sim::SimConfig cfg;
                     cfg.seed = rc.seed;
-                    cfg.shards = rc.shards;
                     cfg.routeCache = rc.routeCache;
                     cfg.policy = rc.policy;
                     cfg.adaptive = adaptive;
@@ -121,7 +120,6 @@ balanceSpec()
                     net::allPairsStats(topo->graph());
                 sim::SimConfig cfg;
                 cfg.seed = rc.seed;
-                cfg.shards = rc.shards;
                 cfg.routeCache = rc.routeCache;
                 cfg.policy = rc.policy;
                 Json m = Json::object();
@@ -285,7 +283,6 @@ unidirSpec()
                         topos::cachedTopology(params);
                     sim::SimConfig cfg;
                     cfg.seed = rc.seed;
-                    cfg.shards = rc.shards;
                     cfg.routeCache = rc.routeCache;
                     cfg.policy = rc.policy;
                     Json m = Json::object();

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "core/route_cache.hpp"
@@ -27,7 +26,6 @@
 #include "exp/experiments/builtin.hpp"
 #include "exp/experiments/common.hpp"
 #include "exp/registry.hpp"
-#include "exp/work_pool.hpp"
 #include "net/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topos/factory.hpp"
@@ -361,26 +359,19 @@ resetPeakRss()
  * Cycle-engine hot-path benchmark (BENCH_sim_hotpath.json): wall
  * clock of full runSynthetic simulations on the paper's largest
  * Fig 11 configuration — 1024 nodes, uniform-random traffic — at a
- * low, a mid, and a high (near-saturation) load point, each at a
- * sweep of route-plane shard counts so the report carries the
- * scaling curve of the sharded engine. Every row owns a WorkPool of
- * exactly its shard count (independent of --jobs), so the s1 row is
- * the serial engine's number and the s>1 rows measure the sharded
- * one. Each (point, shards) cell runs with the memoized route
- * plane on (the default engine) and off (`.../nocache` rows), so
- * the report carries the cache's speedup next to the shard curve;
- * `simulated_cycles` / `measured_packets` / `flit_hops` must agree
- * across every row of one load point — shard count and cache state
- * alike — so the benchmark doubles as determinism evidence. The
- * `cycles_per_sec` metric is the engine's headline throughput; the
- * perf-smoke CI job archives the report so the trajectory is
- * visible PR over PR.
+ * low, a mid, and a high (near-saturation) load point. Each point
+ * runs with the memoized route plane on (the default engine) and
+ * off (`.../nocache` rows), so the report carries the cache's
+ * speedup; `simulated_cycles` / `measured_packets` / `flit_hops`
+ * must agree between the two rows of one load point, so the
+ * benchmark doubles as determinism evidence. The `cycles_per_sec`
+ * metric is the engine's headline throughput; the perf-smoke CI
+ * job archives the report so the trajectory is visible PR over PR.
  *
- * The per-point `phases` rows run the serial engine with
- * SimConfig::profilePhases and report wall time per pipeline phase
- * of docs/engine_phases.md (land / snapshot / route / arbitrate,
- * ns per cycle), so a speedup is attributable to the phase it
- * shrank.
+ * The per-point `phases` rows run with SimConfig::profilePhases
+ * and report wall time per pipeline phase of docs/engine_phases.md
+ * (land / snapshot / route / arbitrate, ns per cycle), so a speedup
+ * is attributable to the phase it shrank.
  */
 ExperimentSpec
 microSimulatorSpec()
@@ -389,17 +380,10 @@ microSimulatorSpec()
     spec.name = "micro_simulator";
     spec.artefact = "Sec VI";
     spec.title = "cycle-engine hot-path wall clock on 1024-node "
-                 "uniform-random runs, per shard count "
-                 "(non-deterministic)";
+                 "uniform-random runs (non-deterministic)";
     spec.deterministic = false;
     spec.plan = [](const PlanContext &ctx) {
         const int reps = pick(ctx.effort, 1, 2, 3);
-        // The CI perf-smoke job runs quick effort, so shards 1 and
-        // 2 ride every CI run; the wider counts need real cores to
-        // say anything and stay on default/full.
-        const std::vector<int> shard_counts =
-            pick<std::vector<int>>(ctx.effort, {1, 2},
-                                   {1, 2, 4, 8}, {1, 2, 4, 8});
         std::vector<RunSpec> runs;
         // Beyond-saturation rates trip the backlog early-abort
         // within a few hundred cycles and measure almost nothing,
@@ -414,53 +398,39 @@ microSimulatorSpec()
             {"high", 0.045},
         };
         for (const auto &point : points) {
-            for (const int shards : shard_counts) {
-              for (const bool cache : {true, false}) {
+            for (const bool cache : {true, false}) {
                 RunSpec run;
-                // Cache-on rows keep the historical ids so the
-                // perf trajectory stays comparable PR over PR;
-                // the A/B twin rides a `/nocache` suffix.
+                // The A/B twin of the default engine rides a
+                // `/nocache` suffix.
                 run.id = cache
-                             ? fmt("n1024/uniform/%s/s%d",
-                                   point.label, shards)
-                             : fmt("n1024/uniform/%s/s%d/nocache",
-                                   point.label, shards);
+                             ? fmt("n1024/uniform/%s", point.label)
+                             : fmt("n1024/uniform/%s/nocache",
+                                   point.label);
                 run.params.set("nodes", 1024);
                 run.params.set("pattern", "uniform");
                 run.params.set("load", point.label);
                 run.params.set("rate", point.rate);
-                run.params.set("shards", shards);
                 run.params.set("route_cache", cache);
                 run.params.set("reps", reps);
                 const double rate = point.rate;
                 const std::string point_id =
                     fmt("n1024/uniform/%s", point.label);
-                run.body = [rate, reps, shards, cache,
+                run.body = [rate, reps, cache,
                             point_id](const RunContext &rc) -> Json {
                     resetPeakRss();
                     const auto topo = topos::cachedTopology(
                         topos::TopoKind::SF, 1024, rc.baseSeed);
                     sim::SimConfig cfg;
-                    // Seeded per load point, not per row: every
-                    // shard and cache row of one point then
-                    // simulates the identical event sequence, so
-                    // equal simulated_cycles / measured_packets /
+                    // Seeded per load point, not per row: both
+                    // cache rows of one point then simulate the
+                    // identical event sequence, so equal
+                    // simulated_cycles / measured_packets /
                     // flit_hops across the point's rows are
                     // determinism evidence right in the benchmark
                     // report.
                     cfg.seed = deriveSeed("micro_simulator",
                                           point_id, rc.baseSeed);
-                    cfg.shards = shards;
                     cfg.routeCache = cache;
-                    // A private pool sized to the shard count:
-                    // the row measures the sharded engine itself,
-                    // not whatever --jobs left idle. (Thread
-                    // stacks nudge peak RSS up slightly on s>1
-                    // rows; the s1 row stays pool-free.)
-                    std::unique_ptr<WorkPool> pool;
-                    if (shards > 1)
-                        pool =
-                            std::make_unique<WorkPool>(shards);
                     const auto phases =
                         sim::RunPhases::latencyCurve();
                     using clock = std::chrono::steady_clock;
@@ -472,7 +442,7 @@ microSimulatorSpec()
                         result = sim::runSynthetic(
                             *topo,
                             sim::TrafficPattern::UniformRandom,
-                            rate, cfg, phases, pool.get());
+                            rate, cfg, phases);
                         const double s =
                             std::chrono::duration<double>(
                                 clock::now() - start)
@@ -503,10 +473,9 @@ microSimulatorSpec()
                     return m;
                 };
                 runs.push_back(std::move(run));
-              }
             }
-            // Per-phase wall-time breakdown (serial engine,
-            // SimConfig::profilePhases): where each simulated
+            // Per-phase wall-time breakdown
+            // (SimConfig::profilePhases): where each simulated
             // cycle's nanoseconds actually go, phase by phase of
             // docs/engine_phases.md.
             {

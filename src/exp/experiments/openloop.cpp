@@ -9,7 +9,7 @@
  * per-packet latencies land in fixed-size log-bucket histograms on
  * the allocation-free measure path, and the reported percentiles
  * are pure functions of the event stream — so the whole family is
- * byte-identical across --jobs and --shards, and the percentile
+ * byte-identical across --jobs and --route-cache, and the percentile
  * metrics are exact-compared by `sfx diff`.
  */
 
@@ -33,7 +33,6 @@ simConfigFor(const RunContext &rc)
 {
     sim::SimConfig cfg;
     cfg.seed = rc.seed;
-    cfg.shards = rc.shards;
     cfg.routeCache = rc.routeCache;
     cfg.policy = rc.policy;
     return cfg;
@@ -137,8 +136,7 @@ hockeyStickSpec()
                                 arrivals.process = process;
                                 const auto r = sim::runOpenLoop(
                                     *topo, pattern, arrivals,
-                                    rate, cfg, phases,
-                                    rc.executor);
+                                    rate, cfg, phases);
                                 Json m = Json::object();
                                 setTailMetrics(m, r);
                                 return m;

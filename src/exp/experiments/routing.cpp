@@ -12,10 +12,9 @@
  * The policy is a grid parameter here — each cell sets
  * SimConfig::policy itself — unlike the global `sfx --policy`
  * knob, which retargets entire sweeps. Everything else rides the
- * usual execution knobs (rc.shards / rc.routeCache), which stay
+ * usual execution knobs (--jobs, rc.routeCache), which stay
  * byte-identical-invisible; the quick slice of this grid is
- * golden-pinned across the jobs x shards matrix in
- * tests/test_routing_policy.cpp.
+ * golden-pinned at jobs 1 and 8 in tests/test_routing_policy.cpp.
  */
 
 #include <cstdint>
@@ -102,7 +101,6 @@ routingBakeoffSpec()
                                     kind, n, rc.baseSeed);
                             sim::SimConfig cfg;
                             cfg.seed = rc.seed;
-                            cfg.shards = rc.shards;
                             cfg.routeCache = rc.routeCache;
                             // The cell's policy, not the global
                             // --policy knob: the bake-off races
@@ -116,7 +114,7 @@ routingBakeoffSpec()
                             const double probe = 0.9 * sat;
                             const auto r = sim::runSynthetic(
                                 *topo, pattern, probe, cfg,
-                                phases, rc.executor);
+                                phases);
                             Json m = Json::object();
                             m.set("saturation_rate", sat);
                             m.set("saturation_pct",

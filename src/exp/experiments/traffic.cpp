@@ -32,10 +32,9 @@ simConfigFor(const RunContext &rc)
     // topology construction (below) follows the base seed so every
     // run in a sweep simulates the same generated network.
     cfg.seed = rc.seed;
-    // Route-plane sharding (`sfx --shards`) and the memoized route
-    // plane (`sfx --route-cache`): byte-identical at any setting,
-    // so execution knobs like jobs, not grid parameters.
-    cfg.shards = rc.shards;
+    // The memoized route plane (`sfx --route-cache`):
+    // byte-identical at either setting, so an execution knob like
+    // jobs, not a grid parameter.
     cfg.routeCache = rc.routeCache;
     cfg.policy = rc.policy;
     return cfg;
@@ -156,8 +155,7 @@ fig11Spec()
                                 simConfigFor(rc);
                             const auto r = sim::runSynthetic(
                                 *topo, pattern, rate, cfg,
-                                sim::RunPhases::latencyCurve(),
-                                rc.executor);
+                                sim::RunPhases::latencyCurve());
                             Json m = Json::object();
                             m.set("saturated", r.saturated);
                             m.set("avg_latency",

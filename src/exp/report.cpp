@@ -21,11 +21,8 @@ buildReport(const std::vector<ExperimentResults> &experiments,
     if (opts.policy != core::RoutingPolicyKind::Greedy)
         report.set("policy",
                    core::routingPolicyName(opts.policy));
-    if (opts.includeTiming) {
+    if (opts.includeTiming)
         report.set("jobs", static_cast<std::int64_t>(opts.jobs));
-        report.set("shards",
-                   static_cast<std::int64_t>(opts.shards));
-    }
 
     Json exps = Json::array();
     for (const ExperimentResults &er : experiments) {

@@ -34,15 +34,12 @@ struct ReportOptions {
     Effort effort = Effort::Default;
     std::uint64_t baseSeed = kBaseSeed;
     int jobs = 1;
-    /** Route-plane shards the sweep ran with; like jobs, only
-     *  recorded under includeTiming (it cannot affect results). */
-    int shards = 1;
     /**
-     * Routing policy the sweep ran with. Unlike jobs/shards it
-     * CAN affect results, so a non-greedy value is always recorded
-     * in the report; the greedy default is omitted so reports from
-     * before the policy seam (and all committed goldens) keep
-     * their exact bytes.
+     * Routing policy the sweep ran with. Unlike jobs it CAN affect
+     * results, so a non-greedy value is always recorded in the
+     * report; the greedy default is omitted so reports from before
+     * the policy seam (and all committed goldens) keep their exact
+     * bytes.
      */
     core::RoutingPolicyKind policy =
         core::RoutingPolicyKind::Greedy;

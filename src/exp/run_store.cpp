@@ -224,6 +224,31 @@ RunStore::readInvocationMeta(const std::string &dir)
         schema->asString() != kSchema)
         throw std::runtime_error("not an " + std::string(kSchema) +
                                  " checkpoint: " + dir);
+    // The fields resume, status and gc re-plan the sweep from. A
+    // wrong type must fail here, naming the field: read on, a
+    // negative seed would wrap to a huge one, gc would then judge
+    // every valid entry stale and delete it, and a double or a
+    // string would surface only as a bare std::get error.
+    const auto reject = [&](const char *field, const char *want) {
+        throw std::runtime_error("corrupt checkpoint meta " +
+                                 path.string() + ": " + field +
+                                 " must be " + want);
+    };
+    for (const char *field : {"patterns", "effort", "run_filter"}) {
+        const Json *v = meta.find(field);
+        if (!v || !v->isString())
+            reject(field, "a string");
+    }
+    const Json *seed = meta.find("base_seed");
+    if (!seed ||
+        !(seed->isUint() || (seed->isInt() && seed->asInt() >= 0)))
+        reject("base_seed", "a non-negative integer");
+    // Absent in checkpoints taken before these fields existed.
+    for (const char *field : {"policy", "reconfig_schedule"}) {
+        const Json *v = meta.find(field);
+        if (v && !v->isString())
+            reject(field, "a string");
+    }
     return meta;
 }
 

@@ -126,7 +126,11 @@ class RunStore {
 
     /**
      * Read DIR/meta.json without creating anything; throws
-     * std::runtime_error when @p dir is not a checkpoint directory.
+     * std::runtime_error when @p dir is not a checkpoint directory,
+     * or when a sweep-defining field has the wrong type: patterns,
+     * effort and run_filter must be strings, base_seed a
+     * non-negative integer, and policy and reconfig_schedule, when
+     * present, strings.
      */
     static Json readInvocationMeta(const std::string &dir);
 

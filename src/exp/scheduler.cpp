@@ -63,7 +63,6 @@ runExperiment(const ExperimentSpec &exp,
             ctx.baseSeed = opts.baseSeed;
             ctx.effort = opts.effort;
             ctx.executor = &pool;
-            ctx.shards = opts.shards > 0 ? opts.shards : 1;
             ctx.routeCache = opts.routeCache;
             ctx.policy = opts.policy;
             result.seed = ctx.seed;

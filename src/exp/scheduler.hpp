@@ -48,15 +48,12 @@ struct RunResult {
 struct SchedulerOptions {
     /** Worker threads; 0 means hardware concurrency. */
     int jobs = 0;
-    /** Route-plane shards per simulation (RunContext::shards);
-     *  results are identical at any value, like jobs. */
-    int shards = 1;
     /** Memoized route plane (RunContext::routeCache); results are
-     *  identical on or off, like jobs and shards. */
+     *  identical on or off, like jobs. */
     bool routeCache = true;
     /** Routing policy (RunContext::policy). Changes results for
      *  non-greedy values — a sweep parameter, not an execution
-     *  knob like jobs/shards/routeCache. */
+     *  knob like jobs/routeCache. */
     core::RoutingPolicyKind policy =
         core::RoutingPolicyKind::Greedy;
     Effort effort = Effort::Default;

@@ -76,13 +76,11 @@ struct RunContext {
      */
     sim::Executor *executor = nullptr;
     /**
-     * Route-plane shards for cycle simulations (`sfx --shards`,
-     * sim::SimConfig::shards): bodies that run the flit simulator
-     * should copy this into their SimConfig and pass `executor`
-     * through, which parallelises *inside* one simulation. Like
-     * the executor, it must never affect results — the sharded
-     * engine is byte-identical at every shard count — so it is an
-     * execution knob, not part of the run grid or the spec hash.
+     * Removed knob: always 1, and nothing in the library sets or
+     * reads it (the sharded route plane was deleted). Kept only
+     * because the frozen benchmark (perfbench/sfbench.cpp) copies
+     * it into sim::SimConfig::shards; to be deleted by the next
+     * change that may edit perfbench/.
      */
     int shards = 1;
     /**
@@ -90,7 +88,7 @@ struct RunContext {
      * sim::SimConfig::routeCache): bodies that run the flit
      * simulator should copy this into their SimConfig. Results are
      * byte-identical on or off — a cached route is the same pure
-     * function's output — so, like shards, it is an execution knob
+     * function's output — so, like jobs, it is an execution knob
      * kept only for A/B benchmarking, never part of the run grid
      * or the spec hash.
      */
@@ -108,7 +106,7 @@ struct RunContext {
      * bodies that run the flit simulator should copy this into
      * their SimConfig — UNLESS the policy is part of their own run
      * grid (the routing_bakeoff family), in which case the cell
-     * wins. Unlike shards/routeCache this is NOT an execution
+     * wins. Unlike routeCache this is NOT an execution
      * knob: non-greedy policies change simulated events, so the
      * driver records it in checkpoint metadata and reports, and
      * refuses to override it on resume.

@@ -6,9 +6,11 @@
  * rates concurrently, but the simulator layer must not depend on
  * the experiment engine that owns the worker threads. This tiny
  * interface inverts the dependency: the scheduler's work pool
- * implements it (exp::WorkPool), and simulator APIs accept an
+ * implements it (exp::WorkPool), and findSaturationRate accepts an
  * optional Executor. Passing nothing (or serialExecutor()) keeps
- * every evaluation inline on the calling thread.
+ * every evaluation inline on the calling thread. One simulation
+ * always runs on the thread that calls it; only whole probes fan
+ * out.
  */
 
 #pragma once

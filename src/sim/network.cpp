@@ -17,15 +17,6 @@ const auto kLaterFirst = [](const auto &a, const auto &b) {
     return a > b;
 };
 
-/**
- * Route-plane fan-out floor: below this many collected jobs the
- * shards run inline on the calling thread — an Executor batch
- * costs more than the routes at light load. Results are identical
- * either way (the jobs are pure), so the threshold is a pure
- * wall-clock knob.
- */
-constexpr std::size_t kRoutePhaseMinJobs = 32;
-
 std::uint64_t
 elapsedNs(std::chrono::steady_clock::time_point from,
           std::chrono::steady_clock::time_point to)
@@ -48,6 +39,10 @@ NetworkModel::NetworkModel(const net::Topology &topo,
         throw std::invalid_argument(
             "SimConfig::wavefront must be 0: the commit-wavefront "
             "scheduler was removed and arbitration is serial");
+    if (cfg.shards != 1)
+        throw std::invalid_argument(
+            "SimConfig::shards must be 1: the sharded route plane "
+            "was removed and routing is serial");
     const std::size_t n = topo.numNodes();
     const std::size_t links = topo.graph().numLinks();
     linkBusyUntil_.assign(links, 0);
@@ -167,17 +162,17 @@ NetworkModel::onTopologyChanged()
 {
     updown_.reset();
     ++stats_.topologyEpochs;
-    // Epoch barrier: a precomputed route is only provably the value
-    // the serial loop would compute while the topology is immutable,
-    // so no route may outlive its epoch. The sharded plane can have
-    // marked heads routed that arbitration then skipped (input port
-    // busy) — carried across the boundary those would be the old
-    // epoch's pure function. routed is only ever true on queue
-    // heads (tryForward clears it on every hop, arrivals enqueue
-    // with it false), so clearing the heads of every active VC and
-    // source FIFO invalidates every precomputed route; both engines
-    // then recompute against the new topology and stay
-    // event-for-event identical.
+    // Epoch barrier: a route is the topology's pure function only
+    // while the topology is immutable, so no route may outlive its
+    // epoch. A head can hold a route that arbitration never
+    // consumed — routed at the barrier but skipped (input port
+    // busy), or routed and then blocked (no free link, no room
+    // downstream) — and carried across the boundary it would be the
+    // old epoch's route. routed is only ever true on queue heads
+    // (tryForward clears it on every hop, arrivals enqueue with it
+    // false), so clearing the heads of every active VC and source
+    // FIFO invalidates every such route; each is recomputed against
+    // the new topology.
     for (const NodeId node : activeNodes_) {
         for (const std::uint32_t flat : activeVcs_[node]) {
             const VcState &vc = vcs_[flat];
@@ -189,10 +184,7 @@ NetworkModel::onTopologyChanged()
     }
     // The memoized plane is a per-epoch object: retire the old
     // epoch's tables and rebuild fresh ones against the new
-    // topology, after the policy has rebuilt its own tables. Runs
-    // on the serial engine thread at a cycle barrier (the route
-    // executor is quiescent between steps), so neither teardown
-    // nor rebuild can race a route-plane shard.
+    // topology, after the policy has rebuilt its own tables.
     const bool rebuild = routeCache_ != nullptr;
     routeCache_.reset();
     policy_->onTopologyChanged();
@@ -200,17 +192,6 @@ NetworkModel::onTopologyChanged()
         enableRouteCache();
         ++stats_.routeCacheRebuilds;
     }
-}
-
-void
-NetworkModel::setRouteExecutor(Executor *executor)
-{
-    routeExecutor_ =
-        (executor && cfg_.shards > 1) ? executor : nullptr;
-    routeWork_.clear();
-    routeTasks_.clear();
-    if (routeExecutor_)
-        routeWork_.resize(static_cast<std::size_t>(cfg_.shards));
 }
 
 void
@@ -243,9 +224,8 @@ NetworkModel::fillCongestionSnapshot()
 {
     // Each link's flitsReserved summed over its VCs: flits committed
     // to land in that link's input buffers — the engine's queue-depth
-    // estimate, kept live by adjustReserved. Written only here, on
-    // the serial engine thread, before any route (serial or sharded)
-    // is computed this cycle.
+    // estimate, kept live by adjustReserved. Written only here,
+    // before any route is computed this cycle.
     std::copy(linkReserved_.begin(), linkReserved_.end(),
               congestionFlits_.begin());
 }
@@ -253,49 +233,32 @@ NetworkModel::fillCongestionSnapshot()
 void
 NetworkModel::precomputeRoutes(Cycle now)
 {
-    // Serial barrier routing: with a congestion-aware policy and no
-    // route executor (shards = 1), the same eligibility walk runs
-    // here but routes inline. This keeps the policy's semantics —
-    // "every cycle-start head routes against this cycle's frozen
-    // snapshot" — identical at every shard count. (A greedy route
-    // for a head the serial loop skips this cycle equals the route
-    // it would compute next cycle, so greedy never needs this; a
-    // snapshot-dependent route does NOT have that property, which
-    // is exactly why lazy serial routing and barrier-sharded
-    // routing would diverge without it.)
-    const bool inline_routes = routeWork_.empty();
-    const std::size_t shards = routeWork_.size();
-    const std::size_t n = topo_->numNodes();
-    std::size_t total = 0;
+    // Barrier routing: every cycle-start head routes against this
+    // cycle's frozen snapshot, including a head that arbitration
+    // then skips (input port busy); it keeps that route until it
+    // moves. Routing such a head lazily would read a later cycle's
+    // snapshot and so could decide differently. A greedy route does
+    // not depend on the cycle it is computed in, which is why
+    // greedy routes lazily instead (docs/routing_policies.md).
     for (const NodeId node : activeNodes_) {
-        // Contiguous spatial blocks: nodes [k*n/S, (k+1)*n/S) form
-        // shard k, so a shard owns its nodes' whole route workload.
-        const std::size_t shard =
-            inline_routes
-                ? 0
-                : static_cast<std::size_t>(node) * shards / n;
         const auto consider = [&](std::uint32_t slot) {
             Packet &p = pool_.at(slot);
-            // Only the pure policy fast path is precomputable; the
-            // loop owns every order-sensitive case: cached routes,
+            // Only the pure policy fast path is routed here; the
+            // walk owns every order-sensitive case: cached routes,
             // escape routing, escalation due this cycle (its stats
             // counter can land inside the measurement window), the
             // gated-destination drop path, and ejection heads.
             if (p.routed || p.escape || p.dst == node ||
                 !topo_->nodeAlive(p.dst))
                 return;
-            if (inline_routes) {
-                const std::size_t count =
-                    routeCandidatesFor(node, p);
-                if (count > 0) {
-                    p.numCandidates =
-                        static_cast<std::uint8_t>(count);
-                    p.routed = true;
-                }
-                return;
+            const std::size_t count = routeCandidatesFor(node, p);
+            // count == 0 (a stall on a degraded topology): leave
+            // the packet unrouted so the walk escalates it to the
+            // escape path.
+            if (count > 0) {
+                p.numCandidates = static_cast<std::uint8_t>(count);
+                p.routed = true;
             }
-            routeWork_[shard].push_back(RouteJob{slot, node});
-            ++total;
         };
         for (const std::uint32_t flat : activeVcs_[node]) {
             const VcState &vc = vcs_[flat];
@@ -303,50 +266,12 @@ NetworkModel::precomputeRoutes(Cycle now)
                 continue;
             if (!pool_.at(vc.fifo.head).escape &&
                 now - vc.headSince > cfg_.escapeThreshold)
-                continue;  // the loop escalates before routing
+                continue;  // the walk escalates before routing
             consider(vc.fifo.head);
         }
         const PacketFifo &source = sourceQueue_[node];
         if (!source.empty() && sourceBusyUntil_[node] <= now)
             consider(source.head);
-    }
-    if (total == 0)
-        return;
-    if (total < kRoutePhaseMinJobs) {
-        for (std::size_t s = 0; s < shards; ++s)
-            routeShard(s);
-    } else {
-        if (routeTasks_.empty()) {
-            routeTasks_.reserve(shards);
-            for (std::size_t s = 0; s < shards; ++s)
-                routeTasks_.push_back([this, s] { routeShard(s); });
-        }
-        routeExecutor_->runAll(routeTasks_);
-    }
-    for (std::vector<RouteJob> &work : routeWork_)
-        work.clear();
-}
-
-void
-NetworkModel::routeShard(std::size_t shard)
-{
-    // Runs concurrently with other shards: every job writes only
-    // its own Packet record (a head sits in exactly one queue, so
-    // slots never repeat across jobs) and reads only the immutable
-    // topology, whose const routing paths are thread-safe. Route-
-    // cache rows are keyed by the job's node, and a shard's node
-    // block is exclusively its own, so the lazy fills inside
-    // routeCandidatesFor are single-writer too.
-    for (const RouteJob &job : routeWork_[shard]) {
-        Packet &p = pool_.at(job.slot);
-        const std::size_t count = routeCandidatesFor(job.node, p);
-        if (count > 0) {
-            p.numCandidates = static_cast<std::uint8_t>(count);
-            p.routed = true;
-        }
-        // count == 0 (greedy stall on a degraded topology): leave
-        // the packet untouched so the serial loop escalates it to
-        // the escape path exactly as the unsharded engine does.
     }
 }
 
@@ -454,10 +379,9 @@ void
 NetworkModel::phaseSnapshot()
 {
     // Freeze this cycle's congestion snapshot (adaptive policies
-    // only): after arrivals landed, before any route — serial or
-    // sharded — is computed, so every route decision this cycle
-    // reads the same frozen queue depths regardless of shard count
-    // or arbitration order.
+    // only): after arrivals landed, before any route is computed,
+    // so every route decision this cycle reads the same frozen
+    // queue depths, however far the arbitration walk has got.
     if (policy_->congestionAware())
         fillCongestionSnapshot();
 }
@@ -465,14 +389,12 @@ NetworkModel::phaseSnapshot()
 void
 NetworkModel::phaseRoute(Cycle now)
 {
-    // Sharded route plane: fill in this cycle's pure routes
-    // concurrently before any serial state advances. Adaptive
-    // policies route every cycle-start head here even without a
-    // route executor: a snapshot-dependent decision deferred to a
-    // later cycle would read a different snapshot, so lazy serial
-    // routing and barrier-sharded routing would diverge (see
-    // precomputeRoutes).
-    if (routeExecutor_ || policy_->congestionAware())
+    // Adaptive policies route every cycle-start head here, against
+    // the snapshot just frozen (see precomputeRoutes). Greedy routes
+    // lazily inside arbitration: its route is a pure function of
+    // the topology, so when it is computed cannot change it
+    // (docs/engine_phases.md).
+    if (policy_->congestionAware())
         precomputeRoutes(now);
 }
 

@@ -45,54 +45,26 @@
  * bounded horizon of flits + wire latency + SerDes cycles, so the
  * sift cost is a few word moves, not ~100-byte Packet copies.)
  *
- * Sharded route plane (cfg.shards > 1 + setRouteExecutor): the one
- * part of a cycle that is a pure function of immutable state — the
- * greedy route computation of every cycle-start head packet, ~3/4
- * of near-saturation runtime at n=1024 — is partitioned spatially:
- * nodes map to shards in contiguous blocks, each shard owns its
- * nodes' head packets, and the shards fill in Packet::candidates
- * concurrently on Executor threads between the arrival-landing and
- * arbitration phases (a cycle barrier: runAll returns before any
- * serial state advances). Everything whose *order* is load-bearing
- * stays on the serial arbitration walk, because the engine's total
- * event order is defined by it: the global arrival heap's push
- * interleaving (pop ties replay insertion structure), the
- * activeNodes_ walk with its swap-removal compaction (same-cycle
- * neighbour drain-then-reserve ordering), escape escalation (its
- * stats can land in a report mid-window), drops, deliveries, and
- * every RNG draw. Because a precomputed route is the same pure
- * function the serial loop would evaluate at its own point in the
- * cycle — the topology is immutable *within an epoch* and a head's
- * (node, dst, hops, escape) inputs cannot change before the loop
- * consumes or invalidates the cache — the sharded engine is
- * event-for-event identical to the serial one at every shard
- * count, and the partition never appears in results.
- *
  * Topology generations: a reconfig (onTopologyChanged) advances an
  * epoch counter instead of disabling anything. Reconfig events
  * apply serially at a cycle barrier (between step() calls, before
- * injection), so each epoch's route plane shards against an
- * immutable-within-epoch snapshot and routing stays a pure
- * per-epoch function. The one cross-epoch hazard is a precomputed
- * route the serial loop deferred: the sharded plane may mark a
- * head routed that arbitration skips this cycle (input port busy),
- * and a route carried across the boundary would be the *previous*
- * epoch's pure function. The epoch barrier therefore clears the
- * routed flag on every queue head — routes never outlive their
- * epoch, both engines recompute against the new topology, and
- * byte-identity across shard counts survives reconfiguration.
+ * injection), so routing stays a pure function of the topology
+ * within an epoch. The one cross-epoch hazard is a route that
+ * arbitration computed but never consumed: a head routed at the
+ * barrier, or routed lazily and then blocked (no free link, no
+ * downstream room), keeps its candidates, and carried across the
+ * boundary they would be the *previous* epoch's route. The epoch
+ * barrier therefore clears the routed flag on every queue head, so
+ * routes never outlive their epoch.
  *
  * Memoized route plane (cfg.routeCache + enableRouteCache): the
  * same purity argument lets the greedy route computation be cached
  * outright in per-topology next-hop tables (core/route_cache.hpp)
  * instead of re-derived per head-packet cycle — a cached value is
  * the identical pure function's output, so the event stream is
- * byte-identical with the cache on or off, at any shard count.
- * Rows are keyed by the `current` node: under sharding a shard
- * only looks up its own contiguous node block, and the serial loop
- * only touches the cache outside the route phase (the executor
- * barrier), so the lazy fills are single-writer per row and need
- * no atomics. The cache is a per-epoch object: onTopologyChanged
+ * byte-identical with the cache on or off. Only the engine's own
+ * thread reads and fills the cache, so the lazy fills need no
+ * atomics. The cache is a per-epoch object: onTopologyChanged
  * retires the current instance and immediately rebuilds a fresh
  * one against the new topology (counted in
  * NetStats::routeCacheRebuilds), so memoization stays engaged
@@ -106,14 +78,15 @@
  * behaviour byte for byte. Adaptive policies additionally read a
  * CongestionSnapshot — per-link queued flits summed over VCs —
  * frozen exactly once per cycle in step(), after arrivals land and
- * before any route is computed (the same barrier the sharded route
- * plane fans out from). The sums are kept live as linkReserved_,
- * updated wherever a VC's flitsReserved changes, so freezing is a
- * copy of one word per link. Freezing the snapshot there keeps every
- * policy a pure per-cycle function: the serial loop, the sharded
- * route plane, and any shard count all read identical inputs, so
- * reports stay byte-identical across shards for every policy. The
- * route cache only engages for policies that are pure functions of
+ * before any route is computed. The sums are kept live as
+ * linkReserved_, updated wherever a VC's flitsReserved changes, so
+ * freezing is a copy of one word per link. Freezing the snapshot
+ * there, and routing every cycle-start head against it at the same
+ * barrier (precomputeRoutes), means an adaptive decision reads the
+ * queue depths of the first cycle its packet waits at a queue head:
+ * never a later cycle's, and never a state halfway through the
+ * arbitration walk. The route cache
+ * only engages for policies that are pure functions of
  * (node, dest, first_hop) — its exact key space; congestion-aware
  * decisions are uncacheable by construction and enableRouteCache
  * refuses them (see docs/routing_policies.md).
@@ -140,7 +113,6 @@
 #include "net/rng.hpp"
 #include "net/topology.hpp"
 #include "net/updown.hpp"
-#include "sim/executor.hpp"
 #include "sim/packet.hpp"
 #include "sim/packet_pool.hpp"
 #include "sim/sim_config.hpp"
@@ -164,7 +136,8 @@ class NetworkModel
     using DropHandler = std::function<void(const Packet &, Cycle)>;
 
     /** @throws std::invalid_argument when cfg.wavefront is nonzero
-     *  (the scheduler it selected no longer exists). */
+     *  or cfg.shards is not 1 (the wavefront scheduler and the
+     *  sharded route plane they selected no longer exist). */
     NetworkModel(const net::Topology &topo, const SimConfig &cfg);
 
     /**
@@ -208,12 +181,10 @@ class NetworkModel
     /**
      * Advance the topology generation after a reconfiguration:
      * escape tables rebuild lazily, every queue-head route is
-     * invalidated (precomputed routes must not outlive their
-     * epoch — see the file header), and the memoized route plane
-     * is retired and rebuilt against the new topology. The sharded
-     * route plane stays enabled: each epoch shards against an
-     * immutable-within-epoch snapshot. Must be called serially at
-     * a cycle barrier (never mid-step).
+     * invalidated (routes must not outlive their epoch — see the
+     * file header), and the memoized route plane is retired and
+     * rebuilt against the new topology. Must be called at a cycle
+     * barrier (never mid-step).
      */
     void onTopologyChanged();
 
@@ -222,16 +193,6 @@ class NetworkModel
     {
         return stats_.topologyEpochs;
     }
-
-    /**
-     * Enable the sharded route plane (see the file header): with
-     * cfg.shards > 1, each step() fans the cycle-start head-packet
-     * route computations out over @p executor in cfg.shards spatial
-     * node partitions. Pass nullptr (or leave cfg.shards at 1) for
-     * the exact serial engine. The executor must outlive the model.
-     * Results are byte-identical either way and at any shard count.
-     */
-    void setRouteExecutor(Executor *executor);
 
     /**
      * Enable the memoized route plane (see the file header): greedy
@@ -342,13 +303,6 @@ class NetworkModel
         linkReserved_[vc.link] += static_cast<std::uint32_t>(flits);
     }
 
-    /** One unit of route-plane work: the head packet in @p slot is
-     *  parked at @p node and needs greedy candidates. */
-    struct RouteJob {
-        std::uint32_t slot;
-        NodeId node;
-    };
-
     // Phase pipeline (see the file header / docs/engine_phases.md).
     void phaseLand(Cycle now);
     void phaseSnapshot();
@@ -358,18 +312,14 @@ class NetworkModel
      *  every effect in place at the node's σ-position. */
     void arbitrateNode(NodeId node, Cycle now);
     /**
-     * Sharded route plane, between arrival landing and arbitration:
-     * collect every cycle-start head the serial loop would route
-     * through the pure greedy fast path this cycle (or a later one)
-     * and fill in its candidates concurrently, one spatial node
-     * partition per shard. Heads on the order-sensitive paths —
-     * escape escalation due, dead destination, already routed —
-     * are left for the serial loop untouched.
+     * Barrier routing for congestion-aware policies, between the
+     * snapshot and arbitration: route every cycle-start head that
+     * the arbitration walk would route through the policy fast
+     * path, against this cycle's frozen snapshot. Heads on the
+     * order-sensitive paths — escape escalation due, dead
+     * destination, already routed — are left for the walk.
      */
     void precomputeRoutes(Cycle now);
-    /** Compute one shard's collected routes (runs on any thread;
-     *  writes only to its own jobs' Packet records). */
-    void routeShard(std::size_t shard);
     /**
      * Compute (or escalate) the route of head packet @p p at
      * @p node.
@@ -379,10 +329,10 @@ class NetworkModel
      */
     bool computeRoute(NodeId node, Packet &p, Cycle now);
     /**
-     * The fast-path lookup both route planes share: fill @p p's
-     * candidates for its next hop from @p node, through the route
-     * cache when one is engaged, through the policy seam otherwise
-     * (for greedy the two are the same pure function).
+     * The fast-path lookup that barrier and lazy routing share:
+     * fill @p p's candidates for its next hop from @p node, through
+     * the route cache when one is engaged, through the policy seam
+     * otherwise (for greedy the two are the same pure function).
      *
      * @return Number of candidates written into p.candidates.
      */
@@ -437,15 +387,6 @@ class NetworkModel
     std::vector<Arrival> arrivals_;
     /** Local (src == dst) deliveries scheduled for the next cycle. */
     std::vector<Arrival> localDeliveries_;
-
-    // Sharded route plane (inert unless setRouteExecutor was
-    // called with cfg_.shards > 1; see the file header).
-    Executor *routeExecutor_ = nullptr;
-    /** Per-shard job lists, cleared (capacity kept) every cycle. */
-    std::vector<std::vector<RouteJob>> routeWork_;
-    /** Reusable shard tasks, built once (steady state allocates
-     *  nothing, matching the rest of the data plane). */
-    std::vector<std::function<void()>> routeTasks_;
 
     /** Memoized route plane (null = direct virtual calls). */
     std::unique_ptr<core::RouteCache> routeCache_;

@@ -47,13 +47,12 @@ struct SimConfig {
     /** Traffic/selection randomness seed. */
     std::uint64_t seed = 1;
     /**
-     * Route-plane shards (`sfx --shards`): number of spatial node
-     * partitions whose head-packet route computations run
-     * concurrently each cycle when the simulation also has an
-     * Executor (see NetworkModel::setRouteExecutor). Routes are
-     * pure functions of the immutable topology, so the report is
-     * byte-identical at every shard count — 1 disables the phase
-     * and runs the exact serial engine.
+     * Removed knob: the sharded route plane it selected was deleted
+     * after it measured slower than serial routing, and
+     * NetworkModel's constructor throws std::invalid_argument on
+     * any value but 1. Kept only because the frozen benchmark
+     * (perfbench/sfbench.cpp) assigns it; to be deleted by the next
+     * change that may edit perfbench/.
      */
     int shards = 1;
     /**
@@ -61,27 +60,26 @@ struct SimConfig {
      * greedy route computation per (current, dest) pair in compact
      * per-topology next-hop tables (core/route_cache.hpp). A cached
      * value is the same pure function's output, so results are
-     * byte-identical on or off — an execution knob like jobs and
-     * shards, kept for A/B benchmarking. The cache memoizes one
-     * topology generation at a time: a mid-run reconfiguration
-     * retires it and rebuilds it against the new epoch
+     * byte-identical on or off — an execution knob like jobs, kept
+     * for A/B benchmarking. The cache memoizes one topology
+     * generation at a time: a mid-run reconfiguration retires it
+     * and rebuilds it against the new epoch
      * (NetworkModel::onTopologyChanged), so it stays engaged across
      * elastic runs.
      */
     bool routeCache = true;
     /**
      * Routing policy (`sfx --policy`): which core::RoutingPolicy
-     * answers route queries. Unlike shards/routeCache this is NOT
-     * an execution knob — non-greedy policies change simulated
-     * events (that is their purpose), so the experiment layer
-     * records it in checkpoint metadata and reports. `greedy`
-     * routes the incumbent topology routing through the seam with
-     * zero behaviour change; adaptive policies read a congestion
-     * snapshot frozen once per cycle at the route-plane barrier,
-     * keeping every policy deterministic and shard-compatible.
-     * The route cache only engages when the policy is cacheable
-     * (greedy); adaptive decisions are congestion-dependent and
-     * must never be memoized.
+     * answers route queries. Unlike routeCache this is NOT an
+     * execution knob — non-greedy policies change simulated events
+     * (that is their purpose), so the experiment layer records it
+     * in checkpoint metadata and reports. `greedy` routes the
+     * incumbent topology routing through the seam with zero
+     * behaviour change; adaptive policies read a congestion
+     * snapshot frozen once per cycle at the route barrier, keeping
+     * every policy deterministic. The route cache only engages
+     * when the policy is cacheable (greedy); adaptive decisions are
+     * congestion-dependent and must never be memoized.
      */
     core::RoutingPolicyKind policy = core::RoutingPolicyKind::Greedy;
     /**

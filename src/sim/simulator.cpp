@@ -68,12 +68,11 @@ fillMeasuredStats(RunResult &result, const NetStats &stats)
 RunResult
 runSynthetic(const net::Topology &topo, TrafficPattern pattern,
              double rate, const SimConfig &cfg,
-             const RunPhases &phases, Executor *executor)
+             const RunPhases &phases, Executor * /*executor*/)
 {
     NetworkModel net(topo, cfg);
     // Synthetic runs never reconfigure, so the whole run is one
-    // topology epoch for both route planes (network.hpp).
-    net.setRouteExecutor(executor);
+    // topology epoch for the route cache (network.hpp).
     net.enableRouteCache();
     Rng traffic_rng(cfg.seed * 0x9e3779b9ULL + 17);
     const auto nodes = liveNodes(topo);
@@ -169,16 +168,14 @@ RunResult
 runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
                 const ArrivalConfig &arrivals, double rate,
                 const SimConfig &cfg, const RunPhases &phases,
-                Executor *executor, core::StringFigure *elastic,
+                core::StringFigure *elastic,
                 const ReconfigSchedule *schedule)
 {
     NetworkModel net(topo, cfg);
-    // Both route planes stay enabled even when the run
-    // reconfigures: waves apply serially at a cycle barrier and
-    // advance the topology generation, and each epoch shards and
-    // memoizes against an immutable-within-epoch snapshot
-    // (network.hpp).
-    net.setRouteExecutor(executor);
+    // The route cache stays enabled even when the run reconfigures:
+    // waves apply serially at a cycle barrier and advance the
+    // topology generation, and each epoch memoizes against an
+    // immutable-within-epoch snapshot (network.hpp).
     net.enableRouteCache();
     const auto nodes = liveNodes(topo);
     const auto n_all = topo.numNodes();
@@ -187,7 +184,7 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
     // pure functions of (cfg.seed, node), so the whole injection
     // sequence is fixed before the first cycle executes —
     // congestion cannot push back on the offered load, and no
-    // execution knob (jobs, shards) can reach it.
+    // execution knob (jobs, route cache) can reach it.
     std::vector<OpenLoopSource> sources;
     std::vector<Rng> destRng;
     std::vector<Cycle> nextArrival;
@@ -333,7 +330,7 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
         // window's p99 from the log-bucket bin deltas and test the
         // active wave against the tolerance band (<= 1.25x the
         // pre-wave baseline). Pure functions of the event stream —
-        // identical at every jobs/shards/route-cache setting.
+        // identical at every jobs/route-cache setting.
         if (reconfiguring && cycle > 0 && cycle <= measure_end &&
             (cycle & (kReconvergeWindow - 1)) == 0) {
             const LogHistogram &log = net.stats().totalLatencyLog;
@@ -431,33 +428,32 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
 RunResult
 runOpenLoop(const net::Topology &topo, TrafficPattern pattern,
             const ArrivalConfig &arrivals, double rate,
-            const SimConfig &cfg, const RunPhases &phases,
-            Executor *executor)
+            const SimConfig &cfg, const RunPhases &phases)
 {
     return runOpenLoopImpl(topo, pattern, arrivals, rate, cfg,
-                           phases, executor, nullptr, nullptr);
+                           phases, nullptr, nullptr);
 }
 
 RunResult
 runElastic(core::StringFigure &topo, TrafficPattern pattern,
            const ArrivalConfig &arrivals, double rate,
            const ReconfigSchedule &schedule, const SimConfig &cfg,
-           const RunPhases &phases, Executor *executor)
+           const RunPhases &phases)
 {
     return runOpenLoopImpl(topo, pattern, arrivals, rate, cfg,
-                           phases, executor, &topo, &schedule);
+                           phases, &topo, &schedule);
 }
 
 double
 zeroLoadLatency(const net::Topology &topo, const SimConfig &cfg,
-                TrafficPattern pattern, Executor *executor)
+                TrafficPattern pattern)
 {
     RunPhases phases;
     phases.warmup = 500;
     phases.measure = 4000;
     phases.drainLimit = 20000;
     const auto result =
-        runSynthetic(topo, pattern, 0.002, cfg, phases, executor);
+        runSynthetic(topo, pattern, 0.002, cfg, phases);
     return result.avgTotalLatency;
 }
 
@@ -605,16 +601,12 @@ findSaturationRate(const net::Topology &topo, TrafficPattern pattern,
         tasks.reserve(batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             tasks.push_back([&, i] {
-                // Probes pass the executor through, so a probe's
-                // own route plane may shard onto workers that are
-                // not busy with sibling probes (nested batches).
                 if (batch[i] == kZeroLoadProbe)
-                    zero_load_result = zeroLoadLatency(
-                        topo, cfg, pattern, executor);
+                    zero_load_result =
+                        zeroLoadLatency(topo, cfg, pattern);
                 else
-                    results[i] =
-                        runSynthetic(topo, pattern, batch[i], cfg,
-                                     phases, executor);
+                    results[i] = runSynthetic(topo, pattern,
+                                              batch[i], cfg, phases);
             });
         }
         exec.runAll(tasks);
@@ -630,14 +622,13 @@ findSaturationRate(const net::Topology &topo, TrafficPattern pattern,
 std::vector<SweepPoint>
 latencySweep(const net::Topology &topo, TrafficPattern pattern,
              const std::vector<double> &rates, const SimConfig &cfg,
-             const RunPhases &phases, Executor *executor)
+             const RunPhases &phases)
 {
     std::vector<SweepPoint> points;
     points.reserve(rates.size());
     for (const double rate : rates)
         points.push_back(SweepPoint{
-            rate, runSynthetic(topo, pattern, rate, cfg, phases,
-                               executor)});
+            rate, runSynthetic(topo, pattern, rate, cfg, phases)});
     return points;
 }
 

@@ -71,7 +71,7 @@ struct RunPhases {
  * topology, and how the serving tail responded. Window percentiles
  * come from the log-bucket histogram's bin deltas over fixed
  * 256-cycle windows, so every field is a pure function of the
- * simulated event stream — byte-identical across jobs, shards, and
+ * simulated event stream — byte-identical across jobs and
  * route-cache settings.
  */
 struct ReconfigEventStats {
@@ -157,11 +157,10 @@ struct RunResult {
  * a run that cannot drain its measured packets (or whose source
  * backlog keeps growing) reports saturated.
  *
- * With @p executor non-null and cfg.shards > 1 the cycle engine
- * shards its route plane across the executor's threads (see
- * network.hpp); the result is byte-identical at every shard count
- * and with a null executor, so callers may thread any available
- * pool through without a determinism risk.
+ * @p executor is ignored: a simulation runs on the calling thread.
+ * The parameter is kept only because the frozen benchmark
+ * (perfbench/sfbench.cpp) passes one; to be deleted by the next
+ * change that may edit perfbench/.
  */
 RunResult runSynthetic(const net::Topology &topo,
                        TrafficPattern pattern, double rate,
@@ -184,14 +183,13 @@ RunResult runSynthetic(const net::Topology &topo,
  * packets injected inside the measure window are recorded, and
  * injection continues through cooldown so the tail is not
  * flattered by an emptying network. Deterministic like
- * runSynthetic: byte-identical at every job and shard count.
+ * runSynthetic: byte-identical at every job count.
  */
 RunResult runOpenLoop(const net::Topology &topo,
                       TrafficPattern pattern,
                       const ArrivalConfig &arrivals, double rate,
                       const SimConfig &cfg,
-                      const RunPhases &phases = RunPhases::openLoop(),
-                      Executor *executor = nullptr);
+                      const RunPhases &phases = RunPhases::openLoop());
 
 /**
  * Run open-loop traffic (exactly as runOpenLoop) while applying
@@ -207,11 +205,11 @@ RunResult runOpenLoop(const net::Topology &topo,
  * drop/escalation bursts, cycles-to-reconverge) lands in
  * RunResult::reconfigEvents.
  *
- * The sharded route plane and the memoized route cache stay
- * enabled across every reconfiguration: both shard/memoize against
- * an immutable-within-epoch snapshot (network.hpp), so results are
- * byte-identical at every job, shard, and route-cache setting —
- * with an empty schedule, byte-identical to runOpenLoop. @p topo
+ * The memoized route cache stays enabled across every
+ * reconfiguration: it memoizes an immutable-within-epoch snapshot
+ * (network.hpp), so results are byte-identical at every job count
+ * and route-cache setting — with an empty schedule, byte-identical
+ * to runOpenLoop. @p topo
  * is gated in place and finishes in the schedule's final liveness
  * state (callers own restoration).
  */
@@ -219,15 +217,13 @@ RunResult runElastic(core::StringFigure &topo, TrafficPattern pattern,
                      const ArrivalConfig &arrivals, double rate,
                      const ReconfigSchedule &schedule,
                      const SimConfig &cfg,
-                     const RunPhases &phases = RunPhases::openLoop(),
-                     Executor *executor = nullptr);
+                     const RunPhases &phases = RunPhases::openLoop());
 
 /** Zero-load average packet latency (very light uniform traffic). */
 double zeroLoadLatency(const net::Topology &topo,
                        const SimConfig &cfg,
                        TrafficPattern pattern =
-                           TrafficPattern::UniformRandom,
-                       Executor *executor = nullptr);
+                           TrafficPattern::UniformRandom);
 
 /**
  * Saturation injection rate in packets/node/cycle: the highest rate
@@ -259,7 +255,6 @@ struct SweepPoint {
 std::vector<SweepPoint>
 latencySweep(const net::Topology &topo, TrafficPattern pattern,
              const std::vector<double> &rates, const SimConfig &cfg,
-             const RunPhases &phases = {},
-             Executor *executor = nullptr);
+             const RunPhases &phases = {});
 
 } // namespace sf::sim

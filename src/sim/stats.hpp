@@ -110,8 +110,8 @@ struct LatencySummary {
  * value error (32 sub-buckets per power of two; values below 32
  * are exact). Designed for the simulator's measure-path: record()
  * is one array increment, and two histograms merge by element-wise
- * addition, which is associative and deterministic — shard- and
- * order-independent aggregation is correct by construction.
+ * addition, which is associative and deterministic — order-
+ * independent aggregation is correct by construction.
  *
  * Percentiles report the lower bound of the quantile's bucket
  * (clamped to the exact observed max), so the extraction is a pure
@@ -305,7 +305,7 @@ struct NetStats {
     /**
      * Topology generations applied (onTopologyChanged calls); the
      * model's current epoch. Knob-independent: identical at every
-     * job/shard/route-cache setting.
+     * job/route-cache setting.
      */
     std::uint64_t topologyEpochs = 0;
     /**
@@ -320,9 +320,9 @@ struct NetStats {
      * Per-phase wall-clock breakdown (SimConfig::profilePhases):
      * steady-clock nanoseconds accumulated in each of the four
      * cycle phases — Land (arrival heap drain + loopbacks),
-     * Snapshot (congestion freeze), Route (pure route plane,
-     * sharded or inline), Arbitrate (the serial σ-order walk,
-     * including routes computed lazily inside it) — over
+     * Snapshot (congestion freeze), Route (barrier routing of
+     * congestion-aware policies), Arbitrate (the serial σ-order
+     * walk, including routes computed lazily inside it) — over
      * phaseProfiledCycles step() calls. Wall-clock only: changes
      * no simulated event and never lands in a report.
      */

@@ -12,8 +12,8 @@
  * latency under a fixed arrival process measurable at all.
  *
  * Every source is a pure function of (config, rate, seed): the
- * schedule it emits is independent of network state, query timing,
- * thread count, and shard count, so runs replay identically.
+ * schedule it emits is independent of network state, query timing
+ * and thread count, so runs replay identically.
  */
 
 #pragma once
@@ -112,7 +112,7 @@ struct ArrivalConfig {
  *
  * The stream is a pure function of (config, rate, seed): no call
  * reads anything but the source's own state, so schedules are
- * byte-identical across runs, job counts, and shard counts.
+ * byte-identical across runs and job counts.
  */
 class OpenLoopSource
 {

@@ -4,8 +4,8 @@
  * schedules (sim/reconfig_schedule.hpp), the runElastic harness and
  * its degradation-window telemetry, graceful degradation under
  * unplanned failure injection, and the elastic_serving experiment
- * family's byte-identity across the jobs x shards x route-cache
- * matrix, pinned against a committed golden report.
+ * family's byte-identity across the jobs x route-cache matrix,
+ * pinned against a committed golden report.
  *
  * The golden (tests/golden/elastic_sf64_quick.json) is the quick
  * elastic_serving grid at --jobs 1. Like the other goldens, an
@@ -25,7 +25,6 @@
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
 #include "exp/scheduler.hpp"
-#include "exp/work_pool.hpp"
 #include "sim/reconfig_schedule.hpp"
 #include "sim/simulator.hpp"
 #include "topos/factory.hpp"
@@ -171,21 +170,19 @@ expectSameResult(const RunResult &a, const RunResult &b,
 }
 
 RunResult
-runElasticDirect(const char *severity, int shards,
-                 Executor *executor, bool route_cache)
+runElasticDirect(const char *severity, bool route_cache)
 {
     const auto params = elasticParams();
     core::StringFigure topo(params);
     SimConfig cfg;
     cfg.seed = 2019;
-    cfg.shards = shards;
     cfg.routeCache = route_cache;
     cfg.validateReconfig = true; // audit after every wave
     const ArrivalConfig arrivals;
     const auto schedule = planReconfigSchedule(
         severity, params, kPhases.warmup, kPhases.measure, 2019);
     return runElastic(topo, TrafficPattern::UniformRandom, arrivals,
-                      0.02, schedule, cfg, kPhases, executor);
+                      0.02, schedule, cfg, kPhases);
 }
 
 TEST(Elastic, EmptyScheduleMatchesOpenLoop)
@@ -240,16 +237,14 @@ TEST(Elastic, EpochAdvancesPerWaveAndLivenessRestores)
  * canGate courtesy refuses (a live ring neighbour of the planned
  * victim), exactly the case planned maintenance never creates. The
  * run must degrade gracefully — forced gate counted, ring holes
- * counted, stray packets dropped or escalated rather than crashing
- * — and the report must stay deterministic across shard counts.
+ * counted, stray packets dropped or escalated rather than crashing.
  */
 TEST(Elastic, UnplannedFailureDegradesGracefully)
 {
-    RunResult serial;
-    ASSERT_NO_THROW(serial = runElasticDirect("fail", 1, nullptr,
-                                              true));
+    RunResult r;
+    ASSERT_NO_THROW(r = runElasticDirect("fail", true));
     int forced = 0, holes = 0, refused = 0;
-    for (const auto &ev : serial.reconfigEvents) {
+    for (const auto &ev : r.reconfigEvents) {
         forced += ev.failForced;
         holes += ev.holes;
         refused += ev.refused;
@@ -258,41 +253,30 @@ TEST(Elastic, UnplannedFailureDegradesGracefully)
         << "the Fail event did not hit a canGate-refused node";
     EXPECT_GT(holes, 0) << "a forced gate must leave ring holes";
     EXPECT_EQ(refused, 0);
-    ASSERT_EQ(serial.reconfigEvents.size(), 4u);
-    EXPECT_EQ(serial.topologyEpochs, 4u);
-
-    // jobs x shards pinning (jobs are exercised via the experiment
-    // golden below; here the engine itself at shards 1 vs 4).
-    exp::WorkPool pool(4);
-    const auto sharded = runElasticDirect("fail", 4, &pool, true);
-    expectSameResult(serial, sharded, "fail shards 1 vs 4");
+    ASSERT_EQ(r.reconfigEvents.size(), 4u);
+    EXPECT_EQ(r.topologyEpochs, 4u);
 }
 
 /**
- * The halving cascade under the sharded route plane with the
- * memoized cache engaged: every epoch handoff (retire -> rebuild ->
- * re-shard) happens while worker threads exist. Named *Sharded* so
- * the TSan CI job runs it as the data-race proof of the per-epoch
- * rebuild handoff; the serial comparison proves the handoff is also
- * byte-exact.
+ * The halving cascade with the memoized cache engaged against the
+ * same run with it off: every epoch handoff retires the cache and
+ * rebuilds it against the new topology, and the comparison proves
+ * each rebuild is byte-exact through the whole cascade.
  */
-TEST(ElasticSharded, CascadeEpochHandoffMatchesSerial)
+TEST(Elastic, CascadeEpochHandoffMatchesCacheOff)
 {
-    const auto serial =
-        runElasticDirect("cascade", 1, nullptr, false);
-    EXPECT_GE(serial.topologyEpochs, 4u);
+    const auto uncached = runElasticDirect("cascade", false);
+    EXPECT_GE(uncached.topologyEpochs, 4u);
     std::size_t gated = 0, ungated = 0;
-    for (const auto &ev : serial.reconfigEvents) {
+    for (const auto &ev : uncached.reconfigEvents) {
         gated += static_cast<std::size_t>(ev.gated);
         ungated += static_cast<std::size_t>(ev.ungated);
     }
     EXPECT_GE(gated, 16u) << "cascade should halve a 64-node net";
     EXPECT_EQ(gated, ungated);
 
-    exp::WorkPool pool(4);
-    const auto sharded = runElasticDirect("cascade", 4, &pool, true);
-    expectSameResult(serial, sharded,
-                     "cascade serial/no-cache vs sharded/cached");
+    const auto cached = runElasticDirect("cascade", true);
+    expectSameResult(uncached, cached, "cascade cache off vs on");
 }
 
 // ------------------------------------------- elastic_serving golden
@@ -300,10 +284,10 @@ TEST(ElasticSharded, CascadeEpochHandoffMatchesSerial)
 using namespace sf::exp;
 
 /** The driver's `sfx run elastic_serving --quick` flow, in-process:
- *  plan, schedule, report — at any job count, route-plane shard
- *  count, and route cache setting. */
+ *  plan, schedule, report — at any job count and route cache
+ *  setting. */
 std::string
-elasticReport(int jobs, int shards = 1, bool route_cache = true)
+elasticReport(int jobs, bool route_cache = true)
 {
     const auto specs = registry().match("elastic_serving");
     PlanContext plan_ctx;
@@ -316,7 +300,6 @@ elasticReport(int jobs, int shards = 1, bool route_cache = true)
             continue;
         SchedulerOptions sched;
         sched.jobs = jobs;
-        sched.shards = shards;
         sched.routeCache = route_cache;
         sched.effort = Effort::Quick;
         ExperimentResults results;
@@ -355,29 +338,15 @@ TEST(ElasticServing, MatchesGoldenJobs8)
     EXPECT_EQ(elasticReport(8), elasticGoldenBytes());
 }
 
-TEST(ElasticServing, MatchesGoldenSharded)
-{
-    const std::string golden = elasticGoldenBytes();
-    ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(elasticReport(1, 4), golden)
-        << "sharded route plane perturbed the elastic run";
-    EXPECT_EQ(elasticReport(8, 4), golden)
-        << "concurrent sharded elastic run diverged";
-}
-
-/** The cache-off half of the route-cache A/B across the jobs x
- *  shards matrix: the per-epoch cache rebuild must be invisible in
- *  the report. */
+/** The cache-off half of the route-cache A/B at jobs 1 and 8: the
+ *  per-epoch cache rebuild must be invisible in the report. */
 TEST(ElasticServing, RouteCacheOffMatchesGoldenAcrossMatrix)
 {
     const std::string golden = elasticGoldenBytes();
     ASSERT_FALSE(golden.empty());
     for (const int jobs : {1, 8}) {
-        for (const int shards : {1, 4}) {
-            EXPECT_EQ(elasticReport(jobs, shards, false), golden)
-                << "--route-cache off diverged at --jobs " << jobs
-                << " --shards " << shards;
-        }
+        EXPECT_EQ(elasticReport(jobs, false), golden)
+            << "--route-cache off diverged at --jobs " << jobs;
     }
 }
 

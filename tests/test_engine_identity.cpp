@@ -6,9 +6,8 @@
  * the n=64 slice of the quick `fig1*` grid, with `--jobs 1`. The
  * rebuilt engine must reproduce that report byte-for-byte — same
  * saturation rates, same latency distributions, same JSON bytes —
- * at any job count *and any route-plane shard count*, because the
- * refactor reorganised the data plane (and the shard phase farms
- * out only pure route computations) without changing a single
+ * at any job count and with the route cache on or off, because the
+ * refactor reorganised the data plane without changing a single
  * simulated event.
  *
  * If an intentional simulator-behaviour change ever lands, this
@@ -37,13 +36,11 @@ namespace {
 using namespace sf::exp;
 
 /** The driver's `sfx run 'fig1*' --quick --runs '*n64*'` flow,
- *  in-process: plan, filter, schedule, report. @p shards > 1
- *  engages the sharded route plane inside every simulation;
- *  @p route_cache toggles the memoized route plane (`sfx
- *  --route-cache`), which must be just as invisible in the
- *  report. */
+ *  in-process: plan, filter, schedule, report. @p route_cache
+ *  toggles the memoized route plane (`sfx --route-cache`), which
+ *  must be invisible in the report. */
 std::string
-fig1SliceReport(int jobs, int shards = 1, bool route_cache = true)
+fig1SliceReport(int jobs, bool route_cache = true)
 {
     const auto specs = registry().match("fig1*");
     PlanContext plan_ctx;
@@ -59,7 +56,6 @@ fig1SliceReport(int jobs, int shards = 1, bool route_cache = true)
             continue;  // as the driver skips filtered-out specs
         SchedulerOptions sched;
         sched.jobs = jobs;
-        sched.shards = shards;
         sched.routeCache = route_cache;
         sched.effort = Effort::Quick;
         ExperimentResults results;
@@ -99,52 +95,18 @@ TEST(EngineIdentity, MatchesSeedEngineGoldenJobs8)
 }
 
 /**
- * The sharded cycle engine must be event-for-event identical to
- * the serial one: the same slice at shard counts 2 / 4 / 8 (the
- * 1-shard case is the two tests above) must still reproduce the
- * committed *seed-engine* golden byte for byte. The route plane
- * only precomputes pure functions of the immutable topology, so
- * neither the shard count nor the executor's thread interleaving
- * may reach the report.
- */
-TEST(EngineIdentity, ShardedEngineMatchesGoldenAtEveryShardCount)
-{
-    const std::string golden = goldenBytes();
-    ASSERT_FALSE(golden.empty());
-    for (const int shards : {2, 4, 8}) {
-        EXPECT_EQ(fig1SliceReport(1, shards), golden)
-            << "sharded engine diverged at --shards " << shards;
-    }
-}
-
-TEST(EngineIdentity, ShardedEngineMatchesGoldenUnderConcurrency)
-{
-    const std::string golden = goldenBytes();
-    ASSERT_FALSE(golden.empty());
-    for (const int shards : {2, 4}) {
-        EXPECT_EQ(fig1SliceReport(8, shards), golden)
-            << "concurrent sharded engine diverged at --shards "
-            << shards;
-    }
-}
-
-/**
  * The memoized route plane (on by default in the runs above) must
- * be exactly as invisible as the shard count: the same golden,
- * byte for byte, with the cache *off*, across the jobs x shards
- * matrix the acceptance bar names. Cache-on divergence would
- * already fail the tests above; this pins the off half of the A/B.
+ * be invisible: the same golden, byte for byte, with the cache
+ * *off*, at jobs 1 and 8. Cache-on divergence would already fail
+ * the tests above; this pins the off half of the A/B.
  */
 TEST(EngineIdentity, RouteCacheOffMatchesGoldenAcrossMatrix)
 {
     const std::string golden = goldenBytes();
     ASSERT_FALSE(golden.empty());
     for (const int jobs : {1, 8}) {
-        for (const int shards : {1, 4}) {
-            EXPECT_EQ(fig1SliceReport(jobs, shards, false), golden)
-                << "--route-cache off diverged at --jobs " << jobs
-                << " --shards " << shards;
-        }
+        EXPECT_EQ(fig1SliceReport(jobs, false), golden)
+            << "--route-cache off diverged at --jobs " << jobs;
     }
 }
 

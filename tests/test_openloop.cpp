@@ -3,8 +3,9 @@
  * Tests for the open-loop load subsystem: arrival-process
  * determinism, the HDR-style log-bucket histogram (bucket geometry,
  * hand-computed percentiles, merge associativity), and the
- * hockey-stick experiment family's byte-identity across job and
- * shard counts, pinned against a committed golden report.
+ * hockey-stick experiment family's byte-identity across job counts
+ * and route-cache settings, pinned against a committed golden
+ * report.
  *
  * The golden (tests/golden/hockey_sf64_quick.json) is the SF slice
  * of the quick hockey_stick grid at --jobs 1. Like the engine
@@ -247,10 +248,10 @@ using namespace sf::exp;
 
 /** The driver's `sfx run hockey_stick --quick --runs '*SF*'` flow,
  *  in-process: plan, filter to the String Figure slice, schedule,
- *  report — at any job count, route-plane shard count, route cache
- *  setting, and routing policy. */
+ *  report — at any job count, route cache setting, and routing
+ *  policy. */
 std::string
-hockeySliceReport(int jobs, int shards = 1, bool route_cache = true,
+hockeySliceReport(int jobs, bool route_cache = true,
                   core::RoutingPolicyKind policy =
                       core::RoutingPolicyKind::Greedy)
 {
@@ -268,7 +269,6 @@ hockeySliceReport(int jobs, int shards = 1, bool route_cache = true,
             continue;
         SchedulerOptions sched;
         sched.jobs = jobs;
-        sched.shards = shards;
         sched.routeCache = route_cache;
         sched.policy = policy;
         sched.effort = Effort::Quick;
@@ -309,37 +309,23 @@ TEST(HockeyStick, MatchesGoldenJobs8)
     EXPECT_EQ(hockeySliceReport(8), hockeyGoldenBytes());
 }
 
-TEST(HockeyStick, MatchesGoldenSharded)
-{
-    const std::string golden = hockeyGoldenBytes();
-    ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(hockeySliceReport(1, 4), golden)
-        << "sharded route plane perturbed the open-loop run";
-    EXPECT_EQ(hockeySliceReport(8, 4), golden)
-        << "concurrent sharded run diverged";
-}
-
 /** The cache-off half of the route-cache A/B (cache on is the
- *  default engine pinned above), across the jobs x shards matrix. */
+ *  default engine pinned above), at jobs 1 and 8. */
 TEST(HockeyStick, RouteCacheOffMatchesGoldenAcrossMatrix)
 {
     const std::string golden = hockeyGoldenBytes();
     ASSERT_FALSE(golden.empty());
     for (const int jobs : {1, 8}) {
-        for (const int shards : {1, 4}) {
-            EXPECT_EQ(hockeySliceReport(jobs, shards, false),
-                      golden)
-                << "--route-cache off diverged at --jobs " << jobs
-                << " --shards " << shards;
-        }
+        EXPECT_EQ(hockeySliceReport(jobs, false), golden)
+            << "--route-cache off diverged at --jobs " << jobs;
     }
 }
 
 /** The UGAL policy rides the same determinism contract: its own
  *  committed golden (tests/golden/hockey_sf64_ugal_quick.json,
  *  regenerated via `sfx run hockey_stick --quick --runs '*SF*'
- *  --jobs 1 --policy ugal --out ...`) must be byte-identical
- *  across the jobs x shards matrix. */
+ *  --jobs 1 --policy ugal --out ...`) must be byte-identical at
+ *  jobs 1 and 8. */
 TEST(HockeyStick, UgalMatchesGoldenAcrossMatrix)
 {
     const std::string golden =
@@ -347,15 +333,10 @@ TEST(HockeyStick, UgalMatchesGoldenAcrossMatrix)
                  "/tests/golden/hockey_sf64_ugal_quick.json");
     ASSERT_FALSE(golden.empty());
     for (const int jobs : {1, 8}) {
-        for (const int shards : {1, 4}) {
-            EXPECT_EQ(
-                hockeySliceReport(
-                    jobs, shards, true,
-                    core::RoutingPolicyKind::Ugal),
-                golden)
-                << "UGAL diverged at --jobs " << jobs
-                << " --shards " << shards;
-        }
+        EXPECT_EQ(hockeySliceReport(jobs, true,
+                                    core::RoutingPolicyKind::Ugal),
+                  golden)
+            << "UGAL diverged at --jobs " << jobs;
     }
 }
 

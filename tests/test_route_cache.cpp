@@ -9,14 +9,11 @@
  * two-hop-table ablation, and degraded (gated) String Figures.
  * Also pins the per-epoch lifecycle (a reconfiguration retires the
  * cache for the ended topology generation and immediately rebuilds
- * it for the new one) and the contiguous-block concurrent fill
- * discipline the sharded route plane relies on (run under TSan in
- * CI).
+ * it for the new one).
  */
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "core/route_cache.hpp"
@@ -234,56 +231,6 @@ TEST(RouteCache, NonGreedyPolicyKeepsCacheDisengaged)
         EXPECT_FALSE(model.routeCacheActive())
             << "route cache engaged under --policy "
             << routingPolicyName(kind);
-    }
-}
-
-// ------------------------------------------------- concurrency
-
-/**
- * The sharded route plane's ownership discipline, distilled: each
- * thread owns a contiguous block of `current` nodes and only ever
- * queries those, so every cache row has exactly one writer. Run
- * under TSan this is the data-race proof for the concurrent lazy
- * fill; the serial re-check afterwards proves the concurrently
- * filled cache still answers exactly like the direct call.
- */
-TEST(RouteCache, ConcurrentBlockOwnedFillIsExactAndRaceFree)
-{
-    StringFigure topo(
-        makeParams(96, 8, LinkMode::Unidirectional, true));
-    RouteCache cache(topo);
-    ASSERT_TRUE(cache.active());
-
-    const std::size_t n = topo.numNodes();
-    constexpr int kThreads = 4;
-    const std::size_t block = (n + kThreads - 1) / kThreads;
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kThreads; ++w) {
-        workers.emplace_back([&, w] {
-            const std::size_t lo = static_cast<std::size_t>(w) * block;
-            const std::size_t hi = std::min(n, lo + block);
-            LinkId out[net::kMaxRouteCandidates];
-            for (std::size_t s = lo; s < hi; ++s)
-                for (std::size_t t = 0; t < n; ++t)
-                    for (const bool first_hop : {false, true})
-                        cache.candidates(static_cast<NodeId>(s),
-                                         static_cast<NodeId>(t),
-                                         first_hop, out);
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
-
-    EXPECT_EQ(cache.committedRows(), n);
-    EXPECT_EQ(cache.firstHopRows(), n);
-    Rng rng(0xF00D);
-    for (int i = 0; i < 500; ++i) {
-        const auto s = static_cast<NodeId>(
-            rng.range(0, static_cast<std::int64_t>(n) - 1));
-        const auto t = static_cast<NodeId>(
-            rng.range(0, static_cast<std::int64_t>(n) - 1));
-        for (const bool first_hop : {false, true})
-            expectSameAnswer(topo, cache, s, t, first_hop);
     }
 }
 

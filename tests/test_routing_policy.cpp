@@ -15,11 +15,7 @@
  *     table_oracle's walked hop count equals the BFS distance and
  *     is never beaten by greedy on any sampled pair.
  *  3. Determinism — the routing_bakeoff quick slice reproduces its
- *     committed golden byte for byte across the jobs x shards
- *     matrix, and a UGAL cell run through the real sharded route
- *     plane matches its serial twin (the snapshot-at-barrier
- *     argument, pinned; also the TSan target for the snapshot-fill
- *     path).
+ *     committed golden byte for byte at jobs 1 and 8.
  *  4. Cache exclusion — congestion-aware policies must never
  *     engage the route cache (its rows are filled from the
  *     topology's greedy routing and keyed without the snapshot).
@@ -393,8 +389,7 @@ using namespace sf::exp;
  *  in-process, mirroring fig1SliceReport in
  *  test_engine_identity.cpp. */
 std::string
-bakeoffReport(int jobs, int shards = 1,
-              const std::string &run_filter = "*")
+bakeoffReport(int jobs)
 {
     const auto specs = registry().match("routing_bakeoff");
     PlanContext plan_ctx;
@@ -402,15 +397,11 @@ bakeoffReport(int jobs, int shards = 1,
 
     std::vector<ExperimentResults> all;
     for (const ExperimentSpec *spec : specs) {
-        auto runs = spec->plan(plan_ctx);
-        std::erase_if(runs, [&](const RunSpec &run) {
-            return !globMatch(run_filter, run.id);
-        });
+        const auto runs = spec->plan(plan_ctx);
         if (runs.empty())
-            continue;
+            continue;  // as the driver skips specs with no runs
         SchedulerOptions sched;
         sched.jobs = jobs;
-        sched.shards = shards;
         sched.effort = Effort::Quick;
         ExperimentResults results;
         results.spec = spec;
@@ -447,39 +438,6 @@ TEST(RoutingBakeoff, MatchesGoldenJobs1)
 TEST(RoutingBakeoff, MatchesGoldenJobs8)
 {
     EXPECT_EQ(bakeoffReport(8), bakeoffGoldenBytes());
-}
-
-/**
- * The snapshot-at-barrier determinism claim, pinned: adaptive
- * decisions read a snapshot frozen before any route is computed,
- * and the serial engine routes cycle-start heads at the same
- * barrier, so the shard count cannot reach the report — for the
- * congestion-aware policies just as for greedy.
- */
-TEST(RoutingBakeoff, MatchesGoldenAcrossShardCounts)
-{
-    const std::string golden = bakeoffGoldenBytes();
-    ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(bakeoffReport(1, 4), golden)
-        << "bake-off diverged at --shards 4";
-    EXPECT_EQ(bakeoffReport(8, 4), golden)
-        << "bake-off diverged at --jobs 8 --shards 4";
-}
-
-/**
- * TSan target (CI runs *Sharded* under ThreadSanitizer): one UGAL
- * cell through the real sharded route plane with pool threads
- * filling routes from the frozen snapshot, against its serial
- * twin. Kept to a single cell so the sanitizer run stays cheap.
- */
-TEST(RoutingBakeoff, UgalShardedCellMatchesSerialCell)
-{
-    const std::string serial =
-        bakeoffReport(1, 1, "n64/tornado/SF/ugal");
-    ASSERT_NE(serial.find("ugal"), std::string::npos);
-    EXPECT_EQ(bakeoffReport(4, 4, "n64/tornado/SF/ugal"), serial)
-        << "UGAL events depend on the shard count: the snapshot "
-           "is being read or filled outside the barrier";
 }
 
 } // namespace

@@ -443,6 +443,20 @@ TEST(RunStore, EntryPathsDisambiguateSanitisedCollisions)
 
 // --------------------------------------------------- CLI end-to-end
 
+/** Every run entry file under checkpoint @p dir, sorted. */
+std::vector<std::string>
+runEntries(const std::string &dir)
+{
+    std::vector<std::string> entries;
+    for (const auto &e : fs::recursive_directory_iterator(dir)) {
+        if (e.path().extension() == ".json" &&
+            e.path().parent_path().filename() == "runs")
+            entries.push_back(e.path().string());
+    }
+    std::sort(entries.begin(), entries.end());
+    return entries;
+}
+
 /**
  * The acceptance path end to end, at --jobs 1 and 8: `sfx run
  * --checkpoint --max-runs` exits 3 (interrupted), `sfx resume`
@@ -536,14 +550,8 @@ TEST(SfxCli, CheckpointStatusTracksSweepLifecycle)
 
     // Flip a byte in one stored entry: status must count it as
     // corrupt without quarantining it (read-only inspection).
-    std::vector<std::string> entries;
-    for (const auto &e : fs::recursive_directory_iterator(ckpt)) {
-        if (e.path().extension() == ".json" &&
-            e.path().parent_path().filename() == "runs")
-            entries.push_back(e.path().string());
-    }
+    const std::vector<std::string> entries = runEntries(ckpt);
     ASSERT_EQ(entries.size(), 2u);
-    std::sort(entries.begin(), entries.end());
     std::string text = readFile(entries[0]);
     const auto pos = text.find("\"check\": \"");
     ASSERT_NE(pos, std::string::npos);
@@ -621,6 +629,53 @@ TEST(SfxCli, CheckpointStatusTracksSweepLifecycle)
               2);
 }
 
+/**
+ * A wrong-typed sweep field in meta.json must stop resume, status
+ * and gc with a message naming the field, before anything is
+ * planned: read on, a negative base_seed wrapped to 2^64 - 1, and
+ * gc then deleted every valid entry as stale.
+ */
+TEST(SfxCli, MalformedCheckpointMetaFailsWithoutDeleting)
+{
+    TempDir work;
+    const std::string ckpt = work.file("ckpt");
+    ASSERT_EQ(callSfx({"sfx", "run", "table2_features", "--quick",
+                       "--quiet", "--checkpoint", ckpt}),
+              0);
+    const std::vector<std::string> entries = runEntries(ckpt);
+    ASSERT_FALSE(entries.empty());
+
+    const std::string meta_path = work.file("ckpt/meta.json");
+    const std::string meta = readFile(meta_path);
+    const std::string key = "\"base_seed\": 2019";
+    const auto pos = meta.find(key);
+    ASSERT_NE(pos, std::string::npos) << meta;
+    for (const char *bad : {"-1", "2019.0", "\"2019\""}) {
+        std::string text = meta;
+        text.replace(pos, key.size(),
+                     std::string("\"base_seed\": ") + bad);
+        writeFile(meta_path, text);
+        for (const char *cmd : {"gc", "status"}) {
+            testing::internal::CaptureStderr();
+            EXPECT_EQ(callSfx({"sfx", "checkpoint", cmd, ckpt}), 2)
+                << cmd << " with base_seed " << bad;
+            const std::string err =
+                testing::internal::GetCapturedStderr();
+            EXPECT_NE(err.find("base_seed"), std::string::npos)
+                << err;
+            EXPECT_NE(err.find("meta.json"), std::string::npos)
+                << err;
+        }
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(callSfx({"sfx", "resume", ckpt, "--quiet"}), 2)
+            << "resume with base_seed " << bad;
+        testing::internal::GetCapturedStderr();
+        for (const std::string &entry : entries)
+            EXPECT_TRUE(fs::exists(entry))
+                << entry << " deleted with base_seed " << bad;
+    }
+}
+
 /** A checkpoint made by one invocation refuses another's flags. */
 TEST(SfxCli, CheckpointRejectsMismatchedInvocation)
 {
@@ -645,7 +700,7 @@ TEST(SfxCli, CheckpointRejectsMismatchedInvocation)
  *  a message naming the flag instead of truncating or overflowing. */
 TEST(SfxCli, RejectsMalformedCountFlags)
 {
-    for (const char *flag : {"--jobs", "--shards", "--max-runs"}) {
+    for (const char *flag : {"--jobs", "--max-runs"}) {
         for (const char *bad :
              {"4x", "2abc", "3z", "", "0", "-1", "+2",
               "99999999999", "-18446744073709551615",
@@ -665,6 +720,21 @@ TEST(SfxCli, RejectsMalformedCountFlags)
                   0)
             << flag;
         testing::internal::GetCapturedStdout();
+    }
+    // The removed sharded route plane's flag is an unknown option
+    // now, on run and on resume alike.
+    TempDir work;
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"sfx", "run", "table2_features",
+                                   "--list-runs", "--shards", "4"},
+          std::vector<std::string>{"sfx", "resume", work.path(),
+                                   "--shards", "4"}}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(callSfx(args), 2) << args[1];
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "unknown option: --shards"),
+                  std::string::npos)
+            << args[1];
     }
 }
 

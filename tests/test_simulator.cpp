@@ -203,55 +203,6 @@ TEST(Harness, ParallelSaturationSearchMatchesSerial)
     EXPECT_EQ(inline_exec, serial);
 }
 
-TEST(Harness, ShardedRoutePlaneMatchesSerialEngine)
-{
-    // The sharded route plane precomputes pure functions of the
-    // immutable topology, so a run must be event-for-event
-    // identical to the serial engine at every shard count — at a
-    // load heavy enough that the route phase actually fans out
-    // (the batch floor is 32 jobs) and light enough to drain.
-    core::StringFigure topo(sfParams(64, 8));
-    RunPhases phases;
-    phases.warmup = 600;
-    phases.measure = 1500;
-    phases.drainLimit = 8000;
-    SimConfig serial_cfg;
-    serial_cfg.seed = 5;
-    const auto serial = runSynthetic(
-        topo, TrafficPattern::UniformRandom, 0.05, serial_cfg,
-        phases);
-    exp::WorkPool pool(4);
-    for (const int shards : {2, 3, 8}) {
-        SimConfig cfg = serial_cfg;
-        cfg.shards = shards;
-        const auto sharded =
-            runSynthetic(topo, TrafficPattern::UniformRandom,
-                         0.05, cfg, phases, &pool);
-        EXPECT_EQ(sharded.avgTotalLatency, serial.avgTotalLatency)
-            << "shards " << shards;
-        EXPECT_EQ(sharded.avgNetworkLatency,
-                  serial.avgNetworkLatency);
-        EXPECT_EQ(sharded.p50Latency, serial.p50Latency);
-        EXPECT_EQ(sharded.p99Latency, serial.p99Latency);
-        EXPECT_EQ(sharded.avgHops, serial.avgHops);
-        EXPECT_EQ(sharded.acceptedLoad, serial.acceptedLoad);
-        EXPECT_EQ(sharded.saturated, serial.saturated);
-        EXPECT_EQ(sharded.measuredPackets, serial.measuredPackets);
-        EXPECT_EQ(sharded.escapeTransfers, serial.escapeTransfers);
-        EXPECT_EQ(sharded.flitHops, serial.flitHops);
-        EXPECT_EQ(sharded.simulatedCycles, serial.simulatedCycles);
-    }
-    // shards > 1 with no executor must degrade to the serial
-    // engine, not crash or diverge.
-    SimConfig no_exec = serial_cfg;
-    no_exec.shards = 4;
-    const auto degraded = runSynthetic(
-        topo, TrafficPattern::UniformRandom, 0.05, no_exec,
-        phases);
-    EXPECT_EQ(degraded.flitHops, serial.flitHops);
-    EXPECT_EQ(degraded.simulatedCycles, serial.simulatedCycles);
-}
-
 TEST(Harness, AcceptedTracksOfferedWhenUnsaturated)
 {
     core::StringFigure topo(sfParams(64, 8));
@@ -428,14 +379,18 @@ TEST(Network, ConservationInvariantAtEveryStep)
     }
 }
 
-/** The removed commit-wavefront scheduler's knob must fail loudly,
- *  not silently fall back to the serial walk. */
+/** The knobs of the removed commit-wavefront scheduler and sharded
+ *  route plane must fail loudly, not silently fall back to the
+ *  serial engine. */
 TEST(Network, ConstructorRejectsWavefront)
 {
     const topos::MeshTopology mesh(4, 4);
-    SimConfig cfg;
-    cfg.wavefront = 2;
-    EXPECT_THROW(NetworkModel(mesh, cfg), std::invalid_argument);
+    SimConfig wavefront;
+    wavefront.wavefront = 2;
+    EXPECT_THROW(NetworkModel(mesh, wavefront), std::invalid_argument);
+    SimConfig shards;
+    shards.shards = 2;
+    EXPECT_THROW(NetworkModel(mesh, shards), std::invalid_argument);
 }
 
 TEST(Reconfiguration, GatingDuringOperationDropsOnlyStrays)
