@@ -3,9 +3,9 @@
  * Thin wrapper over the sf::exp registry: runs the
  * cycle-engine hot-path benchmark — the same grid
  * `sfx run 'micro_simulator'` executes, with --jobs/--out/--effort
- * available here too. Each load point carries three rows:
- * n1024/uniform/<load> (the default engine), .../nocache (the route
- * cache off) and .../phases (per-phase wall time).
+ * available here too. Each load point carries two rows:
+ * n1024/uniform/<load> (the engine's cycles/sec) and .../phases
+ * (per-phase wall time).
  */
 
 #include "exp/driver.hpp"

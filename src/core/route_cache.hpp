@@ -1,19 +1,19 @@
 /**
  * @file
- * Memoized route plane: per-topology next-hop tables that turn the
- * dominant greedy-routing cost into array lookups.
+ * Memoized route plane: per-topology next-hop tables that memoize
+ * `Topology::routeCandidates`.
+ *
+ * Removed from the engine (docs/greedy_routing.md): the simulator
+ * no longer constructs one. Kept only because the frozen benchmark
+ * (perfbench/sfbench.cpp) constructs one for its core.route.cache_*
+ * probe; to be deleted by the next change that may edit perfbench/.
  *
  * `Topology::routeCandidates` is a pure function of the immutable
- * topology. At near-saturation n=1024 the same (current, dest)
- * pairs are re-derived millions of times per run (table scan +
- * per-entry multi-space distances + ranking). The
- * RouteCache memoizes the virtual call at the simulator's span size
- * (net::kMaxRouteCandidates), so a repeat lookup is one or two
- * array reads. A cached value is literally the same pure function's
- * output, so the simulated event stream is byte-identical with the
- * cache on or off — validity rests only on the topology staying
- * immutable (see docs/greedy_routing.md; NetworkModel retires the
- * cache on any reconfiguration).
+ * topology. The RouteCache memoizes the virtual call at the
+ * simulator's span size (net::kMaxRouteCandidates), so a repeat
+ * lookup is one or two array reads returning exactly what the
+ * direct call returns — validity rests only on the topology staying
+ * immutable.
  *
  * Two independent tables, both lazily filled on first miss:
  *
@@ -51,9 +51,9 @@ namespace sf::core {
 /**
  * Memoizes `topo.routeCandidates(current, dest, first_hop, out)`
  * for spans of net::kMaxRouteCandidates entries (the simulator's
- * packet-record size). One instance per NetworkModel; valid only
- * while the topology is immutable. Lookups fill rows with plain
- * stores, so an instance must not be shared across threads.
+ * packet-record size). Valid only while the topology is
+ * immutable. Lookups fill rows with plain stores, so an instance
+ * must not be shared across threads.
  */
 class RouteCache
 {

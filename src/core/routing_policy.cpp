@@ -27,7 +27,7 @@ namespace {
 
 /** The incumbent: whatever the topology's native routing says
  *  (space-shuffle greedy on SF/S2, DOR on meshes, ...). A pure
- *  function of (node, dest, first_hop), hence cacheable. */
+ *  function of (node, dest, first_hop). */
 class GreedyPolicy final : public RoutingPolicy
 {
   public:
@@ -47,8 +47,6 @@ class GreedyPolicy final : public RoutingPolicy
         return topo_->routeCandidates(current, dest, first_hop,
                                       out);
     }
-
-    bool cacheable() const override { return true; }
 
   private:
     const net::Topology *topo_;

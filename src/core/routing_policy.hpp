@@ -5,22 +5,19 @@
  * flows through one `RoutingPolicy::route()` call — a *pure*
  * function of (immutable topology, packet destination/first-hop
  * flag, per-cycle congestion snapshot). Purity is the load-bearing
- * property, not a style choice: the route cache memoizes greedy
- * answers and the engine keeps a head's route until the head moves
- * or its topology epoch ends, which is exact only if an answer
+ * property, not a style choice: the engine routes greedy heads
+ * lazily inside arbitration and keeps a head's route until the head
+ * moves or its topology epoch ends, which is exact only if an answer
  * depends on nothing but these inputs. A policy that read *live*
  * queue state would also observe mid-cycle arbitration effects, so
  * its decisions would depend on how far the arbitration walk had
  * got; instead, congestion-aware policies read a
- * `CongestionSnapshot` frozen once per cycle before any routing —
- * so cached and uncached engines see identical inputs and produce
- * identical events.
+ * `CongestionSnapshot` frozen once per cycle before any routing.
  *
  * Three policies ship behind the seam:
  *  - `greedy`       — the incumbent: delegates to the topology's own
  *                     `routeCandidates` (space-shuffle greedy on SF,
- *                     DOR on meshes, ...). Congestion-independent,
- *                     therefore cacheable by `core::RouteCache`.
+ *                     DOR on meshes, ...). Congestion-independent.
  *  - `ugal`         — UGAL-L-style adaptive routing: at injection,
  *                     compare the best minimal out-link against the
  *                     best Valiant-style non-minimal detour by
@@ -32,12 +29,7 @@
  *                     tables: the topology-independent upper bound
  *                     greedy routing is racing against.
  *
- * Adaptive decisions are congestion-*dependent*, so they are
- * uncacheable by construction: `RouteCache` keys are (node, dest,
- * first-hop) only, and a snapshot can never be part of the key
- * (it changes every cycle). `NetworkModel::enableRouteCache()`
- * therefore refuses to engage the cache unless the active policy
- * reports `cacheable()`. See docs/routing_policies.md.
+ * See docs/routing_policies.md.
  */
 
 #include <cstdint>
@@ -108,10 +100,9 @@ class CongestionSnapshot
 /**
  * A routing policy. `route()` must be a pure function of the
  * constructor topology, its arguments, and state rebuilt only by
- * `onTopologyChanged()`, and must not mutate anything: the route
- * cache memoizes its answers, and `--jobs` runs share one cached
- * topology across threads, whose const routing a policy calls with
- * no synchronisation.
+ * `onTopologyChanged()`, and must not mutate anything: `--jobs`
+ * runs share one cached topology across threads, whose const
+ * routing a policy calls with no synchronisation.
  * Escape-channel routing, dead-destination handling and delivery
  * short-circuits stay in the engine; a policy only answers "which
  * enabled out-links may this normal-VC packet take next".
@@ -135,24 +126,15 @@ class RoutingPolicy
                               const CongestionSnapshot &congestion,
                               std::span<LinkId> out) const = 0;
 
-    /**
-     * True when decisions are congestion-independent, i.e. a pure
-     * function of (node, dest, first_hop) — the exact key space of
-     * `core::RouteCache`. Adaptive policies must return false; the
-     * engine then never engages the cache (satisfying the
-     * cache/adaptive mutual-exclusion contract).
-     */
-    virtual bool cacheable() const { return false; }
-
     /** True when `route()` reads the snapshot: the engine only
      *  pays for the per-cycle snapshot fill if someone reads it. */
     virtual bool congestionAware() const { return false; }
 
     /**
      * Rebuild derived state (distance tables) after the topology
-     * reconfigured. Called on the serial engine thread with the
-     * route executor already retired, so an eager rebuild here is
-     * race-free; `route()` itself must stay const.
+     * reconfigured. Called on the serial engine thread at a cycle
+     * barrier, so an eager rebuild here is race-free; `route()`
+     * itself must stay const.
      */
     virtual void onTopologyChanged() {}
 };

@@ -17,6 +17,8 @@
 #include <atomic>
 #include <memory>
 
+#include <unistd.h>
+
 #include "exp/diff.hpp"
 #include "exp/registry.hpp"
 #include "exp/render.hpp"
@@ -33,10 +35,6 @@ namespace {
 struct CliOptions {
     std::vector<std::string> patterns;
     int jobs = 0; // 0 = hardware concurrency
-    /** Memoized route plane (sim.routeCache). An execution knob
-     *  like --jobs — byte-identical on or off — kept as a flag
-     *  for A/B benchmarking; resume may override it freely. */
-    bool routeCache = true;
     /** Routing policy (sim.policy). NOT an execution knob:
      *  non-greedy policies change simulated events, so the value
      *  is part of the sweep — recorded in checkpoint meta.json and
@@ -91,13 +89,10 @@ printUsage(std::FILE *to)
         "\n"
         "run options:\n"
         "  --jobs N      worker threads (default: all cores)\n"
-        "  --route-cache on|off  memoized route plane (default on;\n"
-        "                 reports are byte-identical either way)\n"
         "  --policy P    routing policy: greedy | ugal | "
         "table_oracle\n"
         "                 (default greedy; non-greedy changes "
-        "results and\n"
-        "                 disables the route cache)\n"
+        "results)\n"
         "  --reconfig-schedule S  restrict elastic experiments to "
         "one\n"
         "                 schedule severity: leave_join | fail | "
@@ -124,8 +119,8 @@ printUsage(std::FILE *to)
         "interrupt,\n"
         "                 exit 3); finish with `sfx resume DIR`\n"
         "\n"
-        "resume options: --jobs, --route-cache, --out, "
-        "--timing, --quiet, --max-runs\n"
+        "resume options: --jobs, --out, --timing, --quiet, "
+        "--max-runs\n"
         "(pattern, effort, seed, policy, --reconfig-schedule, and "
         "--runs come from the checkpoint's meta.json)\n"
         "\n"
@@ -230,22 +225,6 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
                 return false;
             if (!parseCount("--jobs", v, opts.jobs))
                 return false;
-        } else if (arg == "--route-cache") {
-            char *v = need_value("--route-cache");
-            if (!v)
-                return false;
-            const std::string_view val = v;
-            if (val == "on") {
-                opts.routeCache = true;
-            } else if (val == "off") {
-                opts.routeCache = false;
-            } else {
-                std::fprintf(stderr,
-                             "sfx: --route-cache needs on or off, "
-                             "got '%s'\n",
-                             v);
-                return false;
-            }
         } else if (arg == "--policy") {
             char *v = need_value("--policy");
             if (!v)
@@ -380,6 +359,37 @@ plannedRuns(const ExperimentSpec &spec, const PlanContext &plan_ctx,
     return runs;
 }
 
+/**
+ * Check that the report could be written to @p path: its directory
+ * exists, is a directory and is writable, and the path itself is not
+ * a directory. doRun calls this before the first run is scheduled,
+ * so an unusable --out costs nothing instead of the whole sweep.
+ * Returns false after printing a message that names --out.
+ */
+bool
+outPathUsable(const std::string &path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    fs::path dir = fs::path(path).parent_path();
+    if (dir.empty())
+        dir = ".";
+    std::string problem;
+    if (!fs::exists(dir, ec))
+        problem = "directory '" + dir.string() + "' does not exist";
+    else if (!fs::is_directory(dir, ec))
+        problem = "'" + dir.string() + "' is not a directory";
+    else if (::access(dir.c_str(), W_OK) != 0)
+        problem = "directory '" + dir.string() + "' is not writable";
+    else if (fs::is_directory(path, ec))
+        problem = "it is a directory";
+    if (problem.empty())
+        return true;
+    std::fprintf(stderr, "sfx: --out %s: %s\n", path.c_str(),
+                 problem.c_str());
+    return false;
+}
+
 int
 doRun(const CliOptions &opts)
 {
@@ -419,6 +429,9 @@ doRun(const CliOptions &opts)
         return 0;
     }
 
+    if (!opts.outPath.empty() && !outPathUsable(opts.outPath))
+        return 2;
+
     topos::setTopologyCacheEnabled(!opts.noTopoCache);
 
     // Resumable sweeps: bind (or create) the checkpoint directory
@@ -455,7 +468,6 @@ doRun(const CliOptions &opts)
 
     SchedulerOptions sched;
     sched.jobs = opts.jobs;
-    sched.routeCache = opts.routeCache;
     sched.policy = opts.policy;
     sched.effort = opts.effort;
     sched.baseSeed = opts.baseSeed;

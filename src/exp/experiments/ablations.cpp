@@ -72,7 +72,6 @@ adaptiveSpec()
                         sfParams(n, rc.baseSeed));
                     sim::SimConfig cfg;
                     cfg.seed = rc.seed;
-                    cfg.routeCache = rc.routeCache;
                     cfg.policy = rc.policy;
                     cfg.adaptive = adaptive;
                     Json m = Json::object();
@@ -120,7 +119,6 @@ balanceSpec()
                     net::allPairsStats(topo->graph());
                 sim::SimConfig cfg;
                 cfg.seed = rc.seed;
-                cfg.routeCache = rc.routeCache;
                 cfg.policy = rc.policy;
                 Json m = Json::object();
                 m.set("avg_hops", stats.average);
@@ -283,7 +281,6 @@ unidirSpec()
                         topos::cachedTopology(params);
                     sim::SimConfig cfg;
                     cfg.seed = rc.seed;
-                    cfg.routeCache = rc.routeCache;
                     cfg.policy = rc.policy;
                     Json m = Json::object();
                     m.set("avg_hops",

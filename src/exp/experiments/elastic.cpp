@@ -11,11 +11,8 @@
  * design, so the design axis filters to it.
  *
  * Every metric is a pure function of the simulated event stream:
- * reports are byte-identical across --jobs and --route-cache (the
- * golden matrix in tests/test_elastic.cpp pins exactly that), and
- * knob-dependent evidence like route-cache rebuild counts
- * deliberately never appears here — tests assert it on NetStats
- * instead.
+ * reports are byte-identical across --jobs (the golden matrix in
+ * tests/test_elastic.cpp pins exactly that).
  *
  * Runs build PRIVATE StringFigure instances (never the process-wide
  * topology cache): gating mutates the topology in place, and a
@@ -42,7 +39,6 @@ simConfigFor(const RunContext &rc)
 {
     sim::SimConfig cfg;
     cfg.seed = rc.seed;
-    cfg.routeCache = rc.routeCache;
     cfg.policy = rc.policy;
     return cfg;
 }

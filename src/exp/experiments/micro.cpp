@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/route_cache.hpp"
 #include "core/string_figure.hpp"
 #include "core/topology_builder.hpp"
 #include "exp/experiments/builtin.hpp"
@@ -174,52 +173,6 @@ microSpec()
         for (const std::size_t n : {256u, 1296u})
             add_decision("adaptive_first_hop", n, true);
 
-        // The memoized route plane's unit cost: the same decision
-        // served from a warm core::RouteCache instead of the table
-        // scan + multi-space distance ranking. The gap between
-        // this and greedy_decision is the per-lookup saving the
-        // simulator's cached fast path banks.
-        for (const std::size_t n : {256u, 1296u}) {
-            for (const bool first_hop : {false, true}) {
-                RunSpec run;
-                const char *which = first_hop
-                                        ? "cached_first_hop"
-                                        : "cached_decision";
-                run.id = fmt("%s/n%zu", which, n);
-                run.params.set("op", which);
-                run.params.set("nodes", n);
-                run.params.set("reps", reps);
-                run.body = [n, first_hop, budget_ms, reps](
-                               const RunContext &rc) -> Json {
-                    const core::StringFigure topo(
-                        paramsFor(n, rc.baseSeed));
-                    core::RouteCache cache(topo);
-                    Rng rng(rc.seed);
-                    LinkId out[net::kMaxRouteCandidates];
-                    const auto stats = timedReps(
-                        [&] {
-                            const auto s = static_cast<NodeId>(
-                                rng.below(n));
-                            const auto t = static_cast<NodeId>(
-                                rng.below(n));
-                            if (s == t)
-                                return;
-                            cache.candidates(s, t, first_hop,
-                                             out);
-                        },
-                        reps, budget_ms);
-                    Json m = Json::object();
-                    setTimingMetrics(m, "ns_per_decision",
-                                     stats);
-                    m.set("cache_rows",
-                          first_hop ? cache.firstHopRows()
-                                    : cache.committedRows());
-                    return m;
-                };
-                runs.push_back(std::move(run));
-            }
-        }
-
         for (const std::size_t n : {256u, 1296u}) {
             RunSpec run;
             run.id = fmt("routed_walk/n%zu", n);
@@ -359,14 +312,10 @@ resetPeakRss()
  * Cycle-engine hot-path benchmark (BENCH_sim_hotpath.json): wall
  * clock of full runSynthetic simulations on the paper's largest
  * Fig 11 configuration — 1024 nodes, uniform-random traffic — at a
- * low, a mid, and a high (near-saturation) load point. Each point
- * runs with the memoized route plane on (the default engine) and
- * off (`.../nocache` rows), so the report carries the cache's
- * speedup; `simulated_cycles` / `measured_packets` / `flit_hops`
- * must agree between the two rows of one load point, so the
- * benchmark doubles as determinism evidence. The `cycles_per_sec`
- * metric is the engine's headline throughput; the perf-smoke CI
- * job archives the report so the trajectory is visible PR over PR.
+ * low, a mid, and a high (near-saturation) load point. The
+ * `cycles_per_sec` metric is the engine's headline throughput; the
+ * perf-smoke CI job archives the report so the trajectory is
+ * visible PR over PR.
  *
  * The per-point `phases` rows run with SimConfig::profilePhases
  * and report wall time per pipeline phase of docs/engine_phases.md
@@ -398,39 +347,29 @@ microSimulatorSpec()
             {"high", 0.045},
         };
         for (const auto &point : points) {
-            for (const bool cache : {true, false}) {
+            // Both rows of a load point share its seed, so they
+            // simulate the identical event sequence: equal
+            // simulated_cycles across the two are determinism
+            // evidence right in the benchmark report.
+            const std::string point_id =
+                fmt("n1024/uniform/%s", point.label);
+            const double rate = point.rate;
+            {
                 RunSpec run;
-                // The A/B twin of the default engine rides a
-                // `/nocache` suffix.
-                run.id = cache
-                             ? fmt("n1024/uniform/%s", point.label)
-                             : fmt("n1024/uniform/%s/nocache",
-                                   point.label);
+                run.id = point_id;
                 run.params.set("nodes", 1024);
                 run.params.set("pattern", "uniform");
                 run.params.set("load", point.label);
                 run.params.set("rate", point.rate);
-                run.params.set("route_cache", cache);
                 run.params.set("reps", reps);
-                const double rate = point.rate;
-                const std::string point_id =
-                    fmt("n1024/uniform/%s", point.label);
-                run.body = [rate, reps, cache,
+                run.body = [rate, reps,
                             point_id](const RunContext &rc) -> Json {
                     resetPeakRss();
                     const auto topo = topos::cachedTopology(
                         topos::TopoKind::SF, 1024, rc.baseSeed);
                     sim::SimConfig cfg;
-                    // Seeded per load point, not per row: both
-                    // cache rows of one point then simulate the
-                    // identical event sequence, so equal
-                    // simulated_cycles / measured_packets /
-                    // flit_hops across the point's rows are
-                    // determinism evidence right in the benchmark
-                    // report.
                     cfg.seed = deriveSeed("micro_simulator",
                                           point_id, rc.baseSeed);
-                    cfg.routeCache = cache;
                     const auto phases =
                         sim::RunPhases::latencyCurve();
                     using clock = std::chrono::steady_clock;
@@ -480,16 +419,12 @@ microSimulatorSpec()
             // docs/engine_phases.md.
             {
                 RunSpec run;
-                run.id =
-                    fmt("n1024/uniform/%s/phases", point.label);
+                run.id = point_id + "/phases";
                 run.params.set("nodes", 1024);
                 run.params.set("pattern", "uniform");
                 run.params.set("load", point.label);
                 run.params.set("rate", point.rate);
                 run.params.set("op", "phase_profile");
-                const double rate = point.rate;
-                const std::string point_id =
-                    fmt("n1024/uniform/%s", point.label);
                 run.body = [rate,
                             point_id](const RunContext &rc) -> Json {
                     const auto topo = topos::cachedTopology(

@@ -9,8 +9,8 @@
  * per-packet latencies land in fixed-size log-bucket histograms on
  * the allocation-free measure path, and the reported percentiles
  * are pure functions of the event stream — so the whole family is
- * byte-identical across --jobs and --route-cache, and the percentile
- * metrics are exact-compared by `sfx diff`.
+ * byte-identical across --jobs, and the percentile metrics are
+ * exact-compared by `sfx diff`.
  */
 
 #include <chrono>
@@ -33,7 +33,6 @@ simConfigFor(const RunContext &rc)
 {
     sim::SimConfig cfg;
     cfg.seed = rc.seed;
-    cfg.routeCache = rc.routeCache;
     cfg.policy = rc.policy;
     return cfg;
 }

@@ -12,7 +12,7 @@
  * The policy is a grid parameter here — each cell sets
  * SimConfig::policy itself — unlike the global `sfx --policy`
  * knob, which retargets entire sweeps. Everything else rides the
- * usual execution knobs (--jobs, rc.routeCache), which stay
+ * usual execution knob (--jobs), which stays
  * byte-identical-invisible; the quick slice of this grid is
  * golden-pinned at jobs 1 and 8 in tests/test_routing_policy.cpp.
  */
@@ -101,7 +101,6 @@ routingBakeoffSpec()
                                     kind, n, rc.baseSeed);
                             sim::SimConfig cfg;
                             cfg.seed = rc.seed;
-                            cfg.routeCache = rc.routeCache;
                             // The cell's policy, not the global
                             // --policy knob: the bake-off races
                             // policies against each other inside

@@ -32,10 +32,6 @@ simConfigFor(const RunContext &rc)
     // topology construction (below) follows the base seed so every
     // run in a sweep simulates the same generated network.
     cfg.seed = rc.seed;
-    // The memoized route plane (`sfx --route-cache`):
-    // byte-identical at either setting, so an execution knob like
-    // jobs, not a grid parameter.
-    cfg.routeCache = rc.routeCache;
     cfg.policy = rc.policy;
     return cfg;
 }

@@ -63,7 +63,6 @@ runExperiment(const ExperimentSpec &exp,
             ctx.baseSeed = opts.baseSeed;
             ctx.effort = opts.effort;
             ctx.executor = &pool;
-            ctx.routeCache = opts.routeCache;
             ctx.policy = opts.policy;
             result.seed = ctx.seed;
             const auto progress = [&] {

@@ -48,12 +48,9 @@ struct RunResult {
 struct SchedulerOptions {
     /** Worker threads; 0 means hardware concurrency. */
     int jobs = 0;
-    /** Memoized route plane (RunContext::routeCache); results are
-     *  identical on or off, like jobs. */
-    bool routeCache = true;
     /** Routing policy (RunContext::policy). Changes results for
      *  non-greedy values — a sweep parameter, not an execution
-     *  knob like jobs/routeCache. */
+     *  knob like jobs. */
     core::RoutingPolicyKind policy =
         core::RoutingPolicyKind::Greedy;
     Effort effort = Effort::Default;

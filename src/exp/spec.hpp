@@ -84,15 +84,13 @@ struct RunContext {
      */
     int shards = 1;
     /**
-     * Memoized route plane (`sfx --route-cache`,
-     * sim::SimConfig::routeCache): bodies that run the flit
-     * simulator should copy this into their SimConfig. Results are
-     * byte-identical on or off — a cached route is the same pure
-     * function's output — so, like jobs, it is an execution knob
-     * kept only for A/B benchmarking, never part of the run grid
-     * or the spec hash.
+     * Removed knob: always false, and nothing in the library sets
+     * or reads it (the memoized route plane was deleted). Kept only
+     * because the frozen benchmark (perfbench/sfbench.cpp) copies
+     * it into sim::SimConfig::routeCache; to be deleted by the next
+     * change that may edit perfbench/.
      */
-    bool routeCache = true;
+    bool routeCache = false;
     /**
      * Removed knob: always 0, and nothing in the library sets or
      * reads it (the commit-wavefront scheduler was deleted). Kept
@@ -106,10 +104,10 @@ struct RunContext {
      * bodies that run the flit simulator should copy this into
      * their SimConfig — UNLESS the policy is part of their own run
      * grid (the routing_bakeoff family), in which case the cell
-     * wins. Unlike routeCache this is NOT an execution
-     * knob: non-greedy policies change simulated events, so the
-     * driver records it in checkpoint metadata and reports, and
-     * refuses to override it on resume.
+     * wins. This is NOT an execution knob: non-greedy policies
+     * change simulated events, so the driver records it in
+     * checkpoint metadata and reports, and refuses to override it
+     * on resume.
      */
     core::RoutingPolicyKind policy =
         core::RoutingPolicyKind::Greedy;

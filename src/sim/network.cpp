@@ -43,6 +43,10 @@ NetworkModel::NetworkModel(const net::Topology &topo,
         throw std::invalid_argument(
             "SimConfig::shards must be 1: the sharded route plane "
             "was removed and routing is serial");
+    if (cfg.routeCache)
+        throw std::invalid_argument(
+            "SimConfig::routeCache must be false: the memoized route "
+            "plane was removed and every route is a policy call");
     const std::size_t n = topo.numNodes();
     const std::size_t links = topo.graph().numLinks();
     linkBusyUntil_.assign(links, 0);
@@ -182,41 +186,7 @@ NetworkModel::onTopologyChanged()
         if (!sourceQueue_[node].empty())
             pool_.at(sourceQueue_[node].head).routed = false;
     }
-    // The memoized plane is a per-epoch object: retire the old
-    // epoch's tables and rebuild fresh ones against the new
-    // topology, after the policy has rebuilt its own tables.
-    const bool rebuild = routeCache_ != nullptr;
-    routeCache_.reset();
     policy_->onTopologyChanged();
-    if (rebuild) {
-        enableRouteCache();
-        ++stats_.routeCacheRebuilds;
-    }
-}
-
-void
-NetworkModel::enableRouteCache()
-{
-    // A cache entry is keyed by (node, dest, first_hop) only — a
-    // CongestionSnapshot can never be part of the key (it changes
-    // every cycle), so only policies whose decisions are pure
-    // functions of that key space may be memoized. Adaptive
-    // policies therefore keep the cache disengaged for good.
-    if (!cfg_.routeCache || routeCache_ || !policy_->cacheable())
-        return;
-    auto cache = std::make_unique<core::RouteCache>(*topo_);
-    if (cache->active())
-        routeCache_ = std::move(cache);
-}
-
-std::size_t
-NetworkModel::routeCandidatesFor(NodeId node, Packet &p)
-{
-    if (routeCache_)
-        return routeCache_->candidates(node, p.dst, p.hops == 0,
-                                       p.candidates);
-    return policy_->route(node, p.dst, p.hops == 0, congestion_,
-                          p.candidates);
 }
 
 void
@@ -243,15 +213,16 @@ NetworkModel::precomputeRoutes(Cycle now)
     for (const NodeId node : activeNodes_) {
         const auto consider = [&](std::uint32_t slot) {
             Packet &p = pool_.at(slot);
-            // Only the pure policy fast path is routed here; the
-            // walk owns every order-sensitive case: cached routes,
+            // Only the policy fast path is routed here; the walk
+            // owns every order-sensitive case: heads already routed,
             // escape routing, escalation due this cycle (its stats
             // counter can land inside the measurement window), the
             // gated-destination drop path, and ejection heads.
             if (p.routed || p.escape || p.dst == node ||
                 !topo_->nodeAlive(p.dst))
                 return;
-            const std::size_t count = routeCandidatesFor(node, p);
+            const std::size_t count = policy_->route(
+                node, p.dst, p.hops == 0, congestion_, p.candidates);
             // count == 0 (a stall on a degraded topology): leave
             // the packet unrouted so the walk escalates it to the
             // escape path.
@@ -525,8 +496,9 @@ NetworkModel::computeRoute(NodeId node, Packet &p, Cycle now)
 
     if (!p.escape) {
         // Zero-copy fast path: candidates land directly in the
-        // packet record (via the route cache when engaged).
-        const std::size_t count = routeCandidatesFor(node, p);
+        // packet record.
+        const std::size_t count = policy_->route(
+            node, p.dst, p.hops == 0, congestion_, p.candidates);
         if (count > 0) {
             p.numCandidates = static_cast<std::uint8_t>(count);
             p.routed = true;
@@ -579,7 +551,7 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
         const LinkId link = p.candidates[i];
         const net::Link &l = topo_->graph().link(link);
         if (!l.enabled) {
-            stale = true;  // reconfiguration invalidated the cache
+            stale = true;  // gated after this route was computed
             continue;
         }
         if (linkBusyUntil_[link] > now || outputGrantAt_[link] == now)

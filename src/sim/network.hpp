@@ -57,20 +57,6 @@
  * barrier therefore clears the routed flag on every queue head, so
  * routes never outlive their epoch.
  *
- * Memoized route plane (cfg.routeCache + enableRouteCache): the
- * same purity argument lets the greedy route computation be cached
- * outright in per-topology next-hop tables (core/route_cache.hpp)
- * instead of re-derived per head-packet cycle — a cached value is
- * the identical pure function's output, so the event stream is
- * byte-identical with the cache on or off. Only the engine's own
- * thread reads and fills the cache, so the lazy fills need no
- * atomics. The cache is a per-epoch object: onTopologyChanged
- * retires the current instance and immediately rebuilds a fresh
- * one against the new topology (counted in
- * NetStats::routeCacheRebuilds), so memoization stays engaged
- * across reconfig boundaries and every cached row belongs to
- * exactly one epoch.
- *
  * Routing-policy seam (cfg.policy + core/routing_policy.hpp): every
  * normal-VC route query goes through one RoutingPolicy::route()
  * call. The greedy policy delegates straight to the topology's own
@@ -85,11 +71,7 @@
  * barrier (precomputeRoutes), means an adaptive decision reads the
  * queue depths of the first cycle its packet waits at a queue head:
  * never a later cycle's, and never a state halfway through the
- * arbitration walk. The route cache
- * only engages for policies that are pure functions of
- * (node, dest, first_hop) — its exact key space; congestion-aware
- * decisions are uncacheable by construction and enableRouteCache
- * refuses them (see docs/routing_policies.md).
+ * arbitration walk (see docs/routing_policies.md).
  *
  * Phase-pipeline cycle engine (docs/engine_phases.md): step() runs
  * four phases — Land → Snapshot → Route → Arbitrate. Arbitration is
@@ -108,7 +90,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/route_cache.hpp"
 #include "core/routing_policy.hpp"
 #include "net/rng.hpp"
 #include "net/topology.hpp"
@@ -135,9 +116,10 @@ class NetworkModel
      */
     using DropHandler = std::function<void(const Packet &, Cycle)>;
 
-    /** @throws std::invalid_argument when cfg.wavefront is nonzero
-     *  or cfg.shards is not 1 (the wavefront scheduler and the
-     *  sharded route plane they selected no longer exist). */
+    /** @throws std::invalid_argument when cfg.wavefront is nonzero,
+     *  cfg.shards is not 1 or cfg.routeCache is true (the wavefront
+     *  scheduler, the sharded route plane and the memoized route
+     *  plane they selected no longer exist). */
     NetworkModel(const net::Topology &topo, const SimConfig &cfg);
 
     /**
@@ -180,11 +162,10 @@ class NetworkModel
 
     /**
      * Advance the topology generation after a reconfiguration:
-     * escape tables rebuild lazily, every queue-head route is
+     * escape tables rebuild lazily, and every queue-head route is
      * invalidated (routes must not outlive their epoch — see the
-     * file header), and the memoized route plane is retired and
-     * rebuilt against the new topology. Must be called at a cycle
-     * barrier (never mid-step).
+     * file header). Must be called at a cycle barrier (never
+     * mid-step).
      */
     void onTopologyChanged();
 
@@ -192,27 +173,6 @@ class NetworkModel
     std::uint64_t topologyEpoch() const
     {
         return stats_.topologyEpochs;
-    }
-
-    /**
-     * Enable the memoized route plane (see the file header): greedy
-     * route lookups go through a lazily-filled core::RouteCache
-     * instead of the virtual topology call. No-op when
-     * cfg.routeCache is off or the topology cannot be
-     * index-encoded. Supported at any epoch, including after
-     * reconfigurations: the cache memoizes the current epoch's
-     * topology, and onTopologyChanged retires-and-rebuilds it at
-     * each epoch boundary. Byte-identical results either way.
-     */
-    void enableRouteCache();
-
-    /** Is the memoized route plane currently engaged? (tests) */
-    bool routeCacheActive() const { return routeCache_ != nullptr; }
-
-    /** The active routing policy (never null). */
-    const core::RoutingPolicy &routingPolicy() const
-    {
-        return *policy_;
     }
 
     /** The configured topology. */
@@ -328,15 +288,6 @@ class NetworkModel
      *         gated away and unreachable).
      */
     bool computeRoute(NodeId node, Packet &p, Cycle now);
-    /**
-     * The fast-path lookup that barrier and lazy routing share:
-     * fill @p p's candidates for its next hop from @p node, through
-     * the route cache when one is engaged, through the policy seam
-     * otherwise (for greedy the two are the same pure function).
-     *
-     * @return Number of candidates written into p.candidates.
-     */
-    std::size_t routeCandidatesFor(NodeId node, Packet &p);
     /** Freeze this cycle's CongestionSnapshot: copy the live
      *  per-link totals (linkReserved_). Called once per step(),
      *  before any route is computed; only when the policy reads
@@ -388,8 +339,6 @@ class NetworkModel
     /** Local (src == dst) deliveries scheduled for the next cycle. */
     std::vector<Arrival> localDeliveries_;
 
-    /** Memoized route plane (null = direct virtual calls). */
-    std::unique_ptr<core::RouteCache> routeCache_;
     /** The routing-policy seam (never null; greedy by default). */
     std::unique_ptr<core::RoutingPolicy> policy_;
     /** Copy of linkReserved_ frozen at the cycle barrier; sized

@@ -10,7 +10,7 @@
  * injection and before the network steps), then advances the
  * network model's topology generation exactly once — so routing
  * stays a pure per-epoch function and the event stream is
- * byte-identical at every job count and route-cache setting.
+ * byte-identical at every job count.
  *
  * Actions:
  *  - Leave: planned down-scale. Applied through the feasibility

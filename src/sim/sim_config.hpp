@@ -56,30 +56,24 @@ struct SimConfig {
      */
     int shards = 1;
     /**
-     * Memoized route plane (`sfx --route-cache`): cache the pure
-     * greedy route computation per (current, dest) pair in compact
-     * per-topology next-hop tables (core/route_cache.hpp). A cached
-     * value is the same pure function's output, so results are
-     * byte-identical on or off — an execution knob like jobs, kept
-     * for A/B benchmarking. The cache memoizes one topology
-     * generation at a time: a mid-run reconfiguration retires it
-     * and rebuilds it against the new epoch
-     * (NetworkModel::onTopologyChanged), so it stays engaged across
-     * elastic runs.
+     * Removed knob: the memoized route plane it selected was
+     * deleted (docs/greedy_routing.md), and NetworkModel's
+     * constructor throws std::invalid_argument unless it is false.
+     * Kept only because the frozen benchmark
+     * (perfbench/sfbench.cpp) assigns it; to be deleted by the next
+     * change that may edit perfbench/.
      */
-    bool routeCache = true;
+    bool routeCache = false;
     /**
      * Routing policy (`sfx --policy`): which core::RoutingPolicy
-     * answers route queries. Unlike routeCache this is NOT an
-     * execution knob — non-greedy policies change simulated events
-     * (that is their purpose), so the experiment layer records it
-     * in checkpoint metadata and reports. `greedy` routes the
+     * answers route queries. This is NOT an execution knob —
+     * non-greedy policies change simulated events (that is their
+     * purpose), so the experiment layer records it in checkpoint
+     * metadata and reports. `greedy` routes the
      * incumbent topology routing through the seam with zero
      * behaviour change; adaptive policies read a congestion
      * snapshot frozen once per cycle at the route barrier, keeping
-     * every policy deterministic. The route cache only engages
-     * when the policy is cacheable (greedy); adaptive decisions are
-     * congestion-dependent and must never be memoized.
+     * every policy deterministic.
      */
     core::RoutingPolicyKind policy = core::RoutingPolicyKind::Greedy;
     /**

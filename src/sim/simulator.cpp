@@ -71,9 +71,6 @@ runSynthetic(const net::Topology &topo, TrafficPattern pattern,
              const RunPhases &phases, Executor * /*executor*/)
 {
     NetworkModel net(topo, cfg);
-    // Synthetic runs never reconfigure, so the whole run is one
-    // topology epoch for the route cache (network.hpp).
-    net.enableRouteCache();
     Rng traffic_rng(cfg.seed * 0x9e3779b9ULL + 17);
     const auto nodes = liveNodes(topo);
     const auto n_all = topo.numNodes();
@@ -172,11 +169,6 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
                 const ReconfigSchedule *schedule)
 {
     NetworkModel net(topo, cfg);
-    // The route cache stays enabled even when the run reconfigures:
-    // waves apply serially at a cycle barrier and advance the
-    // topology generation, and each epoch memoizes against an
-    // immutable-within-epoch snapshot (network.hpp).
-    net.enableRouteCache();
     const auto nodes = liveNodes(topo);
     const auto n_all = topo.numNodes();
 
@@ -184,7 +176,7 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
     // pure functions of (cfg.seed, node), so the whole injection
     // sequence is fixed before the first cycle executes —
     // congestion cannot push back on the offered load, and no
-    // execution knob (jobs, route cache) can reach it.
+    // execution knob (jobs) can reach it.
     std::vector<OpenLoopSource> sources;
     std::vector<Rng> destRng;
     std::vector<Cycle> nextArrival;
@@ -330,7 +322,7 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
         // window's p99 from the log-bucket bin deltas and test the
         // active wave against the tolerance band (<= 1.25x the
         // pre-wave baseline). Pure functions of the event stream —
-        // identical at every jobs/route-cache setting.
+        // identical at every job count.
         if (reconfiguring && cycle > 0 && cycle <= measure_end &&
             (cycle & (kReconvergeWindow - 1)) == 0) {
             const LogHistogram &log = net.stats().totalLatencyLog;

@@ -71,8 +71,7 @@ struct RunPhases {
  * topology, and how the serving tail responded. Window percentiles
  * come from the log-bucket histogram's bin deltas over fixed
  * 256-cycle windows, so every field is a pure function of the
- * simulated event stream — byte-identical across jobs and
- * route-cache settings.
+ * simulated event stream — byte-identical across job counts.
  */
 struct ReconfigEventStats {
     Cycle at = 0;       ///< wave cycle (events applied at its start)
@@ -205,13 +204,11 @@ RunResult runOpenLoop(const net::Topology &topo,
  * drop/escalation bursts, cycles-to-reconverge) lands in
  * RunResult::reconfigEvents.
  *
- * The memoized route cache stays enabled across every
- * reconfiguration: it memoizes an immutable-within-epoch snapshot
- * (network.hpp), so results are byte-identical at every job count
- * and route-cache setting — with an empty schedule, byte-identical
- * to runOpenLoop. @p topo
- * is gated in place and finishes in the schedule's final liveness
- * state (callers own restoration).
+ * Routes are pure within an epoch (network.hpp), so results are
+ * byte-identical at every job count — with an empty schedule,
+ * byte-identical to runOpenLoop. @p topo is gated in place and
+ * finishes in the schedule's final liveness state (callers own
+ * restoration).
  */
 RunResult runElastic(core::StringFigure &topo, TrafficPattern pattern,
                      const ArrivalConfig &arrivals, double rate,

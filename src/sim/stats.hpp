@@ -305,16 +305,9 @@ struct NetStats {
     /**
      * Topology generations applied (onTopologyChanged calls); the
      * model's current epoch. Knob-independent: identical at every
-     * job/route-cache setting.
+     * job count.
      */
     std::uint64_t topologyEpochs = 0;
-    /**
-     * Memoized route-plane retire-and-rebuild handoffs across epoch
-     * boundaries. Proof that reconfiguration rebuilds the cache
-     * instead of permanently retiring it; knob-*dependent* (0 with
-     * the cache off), so tests assert it and reports must not.
-     */
-    std::uint64_t routeCacheRebuilds = 0;
 
     /**
      * Per-phase wall-clock breakdown (SimConfig::profilePhases):

@@ -6,9 +6,8 @@
  * the n=64 slice of the quick `fig1*` grid, with `--jobs 1`. The
  * rebuilt engine must reproduce that report byte-for-byte — same
  * saturation rates, same latency distributions, same JSON bytes —
- * at any job count and with the route cache on or off, because the
- * refactor reorganised the data plane without changing a single
- * simulated event.
+ * at any job count, because the refactor reorganised the data plane
+ * without changing a single simulated event.
  *
  * If an intentional simulator-behaviour change ever lands, this
  * golden must be regenerated in the same commit (sfx run 'fig1*'
@@ -36,11 +35,9 @@ namespace {
 using namespace sf::exp;
 
 /** The driver's `sfx run 'fig1*' --quick --runs '*n64*'` flow,
- *  in-process: plan, filter, schedule, report. @p route_cache
- *  toggles the memoized route plane (`sfx --route-cache`), which
- *  must be invisible in the report. */
+ *  in-process: plan, filter, schedule, report. */
 std::string
-fig1SliceReport(int jobs, bool route_cache = true)
+fig1SliceReport(int jobs)
 {
     const auto specs = registry().match("fig1*");
     PlanContext plan_ctx;
@@ -56,7 +53,6 @@ fig1SliceReport(int jobs, bool route_cache = true)
             continue;  // as the driver skips filtered-out specs
         SchedulerOptions sched;
         sched.jobs = jobs;
-        sched.routeCache = route_cache;
         sched.effort = Effort::Quick;
         ExperimentResults results;
         results.spec = spec;
@@ -92,22 +88,6 @@ TEST(EngineIdentity, MatchesSeedEngineGoldenJobs1)
 TEST(EngineIdentity, MatchesSeedEngineGoldenJobs8)
 {
     EXPECT_EQ(fig1SliceReport(8), goldenBytes());
-}
-
-/**
- * The memoized route plane (on by default in the runs above) must
- * be invisible: the same golden, byte for byte, with the cache
- * *off*, at jobs 1 and 8. Cache-on divergence would already fail
- * the tests above; this pins the off half of the A/B.
- */
-TEST(EngineIdentity, RouteCacheOffMatchesGoldenAcrossMatrix)
-{
-    const std::string golden = goldenBytes();
-    ASSERT_FALSE(golden.empty());
-    for (const int jobs : {1, 8}) {
-        EXPECT_EQ(fig1SliceReport(jobs, false), golden)
-            << "--route-cache off diverged at --jobs " << jobs;
-    }
 }
 
 } // namespace

@@ -3,9 +3,8 @@
  * Tests for the open-loop load subsystem: arrival-process
  * determinism, the HDR-style log-bucket histogram (bucket geometry,
  * hand-computed percentiles, merge associativity), and the
- * hockey-stick experiment family's byte-identity across job counts
- * and route-cache settings, pinned against a committed golden
- * report.
+ * hockey-stick experiment family's byte-identity across job
+ * counts, pinned against a committed golden report.
  *
  * The golden (tests/golden/hockey_sf64_quick.json) is the SF slice
  * of the quick hockey_stick grid at --jobs 1. Like the engine
@@ -248,12 +247,10 @@ using namespace sf::exp;
 
 /** The driver's `sfx run hockey_stick --quick --runs '*SF*'` flow,
  *  in-process: plan, filter to the String Figure slice, schedule,
- *  report — at any job count, route cache setting, and routing
- *  policy. */
+ *  report — at any job count and routing policy. */
 std::string
-hockeySliceReport(int jobs, bool route_cache = true,
-                  core::RoutingPolicyKind policy =
-                      core::RoutingPolicyKind::Greedy)
+hockeySliceReport(int jobs, core::RoutingPolicyKind policy =
+                                core::RoutingPolicyKind::Greedy)
 {
     const auto specs = registry().match("hockey_stick");
     PlanContext plan_ctx;
@@ -269,7 +266,6 @@ hockeySliceReport(int jobs, bool route_cache = true,
             continue;
         SchedulerOptions sched;
         sched.jobs = jobs;
-        sched.routeCache = route_cache;
         sched.policy = policy;
         sched.effort = Effort::Quick;
         ExperimentResults results;
@@ -309,18 +305,6 @@ TEST(HockeyStick, MatchesGoldenJobs8)
     EXPECT_EQ(hockeySliceReport(8), hockeyGoldenBytes());
 }
 
-/** The cache-off half of the route-cache A/B (cache on is the
- *  default engine pinned above), at jobs 1 and 8. */
-TEST(HockeyStick, RouteCacheOffMatchesGoldenAcrossMatrix)
-{
-    const std::string golden = hockeyGoldenBytes();
-    ASSERT_FALSE(golden.empty());
-    for (const int jobs : {1, 8}) {
-        EXPECT_EQ(hockeySliceReport(jobs, false), golden)
-            << "--route-cache off diverged at --jobs " << jobs;
-    }
-}
-
 /** The UGAL policy rides the same determinism contract: its own
  *  committed golden (tests/golden/hockey_sf64_ugal_quick.json,
  *  regenerated via `sfx run hockey_stick --quick --runs '*SF*'
@@ -333,7 +317,7 @@ TEST(HockeyStick, UgalMatchesGoldenAcrossMatrix)
                  "/tests/golden/hockey_sf64_ugal_quick.json");
     ASSERT_FALSE(golden.empty());
     for (const int jobs : {1, 8}) {
-        EXPECT_EQ(hockeySliceReport(jobs, true,
+        EXPECT_EQ(hockeySliceReport(jobs,
                                     core::RoutingPolicyKind::Ugal),
                   golden)
             << "UGAL diverged at --jobs " << jobs;

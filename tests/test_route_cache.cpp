@@ -1,15 +1,14 @@
 /**
  * @file
- * Tests for the memoized route plane (core/route_cache.hpp): the
- * cache must be an observationally exact stand-in for
- * Topology::routeCandidates — identical candidate count and
- * identical link ids for every (current, dest, first_hop) query,
- * on first touch (fill) and on every repeat (hit) — across every
- * topology kind the factory builds, both wire directions, the
- * two-hop-table ablation, and degraded (gated) String Figures.
- * Also pins the per-epoch lifecycle (a reconfiguration retires the
- * cache for the ended topology generation and immediately rebuilds
- * it for the new one).
+ * Tests for core::RouteCache (core/route_cache.hpp), which the
+ * simulator no longer uses and which stays only for the frozen
+ * benchmark's probe: while the class exists it must be an
+ * observationally exact stand-in for Topology::routeCandidates —
+ * identical candidate count and identical link ids for every
+ * (current, dest, first_hop) query, on first touch (fill) and on
+ * every repeat (hit) — across every topology kind the factory
+ * builds, both wire directions, the two-hop-table ablation, and
+ * degraded (gated) String Figures.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include "core/route_cache.hpp"
 #include "core/string_figure.hpp"
 #include "net/rng.hpp"
-#include "sim/network.hpp"
 #include "topos/factory.hpp"
 
 namespace {
@@ -142,96 +140,6 @@ TEST(RouteCache, ServesNoRouteAndRepeatsIt)
     for (int rep = 0; rep < 2; ++rep)
         EXPECT_EQ(cache.candidates(3, 7, false, out),
                   topo.routeCandidates(3, 7, false, out));
-}
-
-// --------------------------------------------------- lifecycle
-
-TEST(RouteCache, ReconfigRetiresAndRebuildsCachePerEpoch)
-{
-    StringFigure topo(
-        makeParams(64, 8, LinkMode::Unidirectional, true));
-    sim::SimConfig cfg;
-    cfg.routeCache = true;
-    sim::NetworkModel model(topo, cfg);
-    EXPECT_FALSE(model.routeCacheActive());
-    model.enableRouteCache();
-    EXPECT_TRUE(model.routeCacheActive());
-    EXPECT_EQ(model.topologyEpoch(), 0u);
-
-    // A reconfiguration ends the cache's topology generation: the
-    // stale cache retires at the epoch barrier and a fresh one is
-    // built against the new generation in the same call, so the
-    // memoized plane stays engaged across elastic runs.
-    ASSERT_TRUE(topo.gate(11).applied);
-    model.onTopologyChanged();
-    EXPECT_TRUE(model.routeCacheActive())
-        << "route cache permanently retired by a reconfiguration";
-    EXPECT_EQ(model.topologyEpoch(), 1u);
-    EXPECT_EQ(model.stats().routeCacheRebuilds, 1u);
-
-    ASSERT_TRUE(topo.gate(23).applied);
-    model.onTopologyChanged();
-    EXPECT_TRUE(model.routeCacheActive());
-    EXPECT_EQ(model.topologyEpoch(), 2u);
-    EXPECT_EQ(model.stats().routeCacheRebuilds, 2u);
-}
-
-TEST(RouteCache, EnableAfterReconfigEpochEngagesFreshCache)
-{
-    StringFigure topo(
-        makeParams(64, 8, LinkMode::Unidirectional, true));
-    sim::SimConfig cfg;
-    cfg.routeCache = true;
-    sim::NetworkModel model(topo, cfg);
-
-    // Reconfigure while no cache is engaged: the epoch advances,
-    // nothing rebuilds (there was nothing to retire) ...
-    ASSERT_TRUE(topo.gate(11).applied);
-    model.onTopologyChanged();
-    EXPECT_EQ(model.topologyEpoch(), 1u);
-    EXPECT_EQ(model.stats().routeCacheRebuilds, 0u);
-
-    // ... and a later enable builds against the *current*
-    // generation — supported at any epoch, exactly as documented.
-    model.enableRouteCache();
-    EXPECT_TRUE(model.routeCacheActive())
-        << "enableRouteCache refused after a reconfig epoch";
-}
-
-TEST(RouteCache, ConfigOffKeepsCacheDisengaged)
-{
-    StringFigure topo(
-        makeParams(64, 8, LinkMode::Unidirectional, true));
-    sim::SimConfig cfg;
-    cfg.routeCache = false;
-    sim::NetworkModel model(topo, cfg);
-    model.enableRouteCache();
-    EXPECT_FALSE(model.routeCacheActive());
-}
-
-/**
- * Cache keys are (node, dest, first_hop) — no congestion snapshot —
- * and rows are filled from the topology's *greedy* routing. A
- * non-greedy policy must therefore keep the cache disengaged even
- * when the config asks for it: for `ugal` a cached answer would be
- * stale (the snapshot changes every cycle), and for `table_oracle`
- * it would be outright wrong (greedy's answer, not the table's).
- */
-TEST(RouteCache, NonGreedyPolicyKeepsCacheDisengaged)
-{
-    StringFigure topo(
-        makeParams(64, 8, LinkMode::Unidirectional, true));
-    for (const auto kind : {RoutingPolicyKind::Ugal,
-                            RoutingPolicyKind::TableOracle}) {
-        sim::SimConfig cfg;
-        cfg.routeCache = true;
-        cfg.policy = kind;
-        sim::NetworkModel model(topo, cfg);
-        model.enableRouteCache();
-        EXPECT_FALSE(model.routeCacheActive())
-            << "route cache engaged under --policy "
-            << routingPolicyName(kind);
-    }
 }
 
 } // namespace

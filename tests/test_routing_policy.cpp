@@ -2,7 +2,7 @@
  * @file
  * The routing-policy seam's proof harness (core/routing_policy.hpp).
  *
- * Four properties are load-bearing:
+ * Three properties are load-bearing:
  *  1. Equivalence — the greedy policy routed through the seam must
  *     answer exactly like the direct topology call (and, on String
  *     Figure, exactly like the underlying GreedyRouter) for every
@@ -16,9 +16,6 @@
  *     is never beaten by greedy on any sampled pair.
  *  3. Determinism — the routing_bakeoff quick slice reproduces its
  *     committed golden byte for byte at jobs 1 and 8.
- *  4. Cache exclusion — congestion-aware policies must never
- *     engage the route cache (its rows are filled from the
- *     topology's greedy routing and keyed without the snapshot).
  *
  * The golden (tests/golden/routing_bakeoff_quick.json) is the full
  * quick bake-off grid at --jobs 1. An intentional simulator- or
@@ -39,7 +36,6 @@
 #include "exp/scheduler.hpp"
 #include "net/paths.hpp"
 #include "net/rng.hpp"
-#include "sim/network.hpp"
 #include "topos/factory.hpp"
 
 #ifndef SF_SOURCE_DIR
@@ -82,7 +78,6 @@ sweepSeamEquivalence(const net::Topology &topo, int samples,
 {
     const auto policy =
         makeRoutingPolicy(RoutingPolicyKind::Greedy, topo);
-    ASSERT_TRUE(policy->cacheable());
     EXPECT_FALSE(policy->congestionAware());
     Rng rng(seed);
     const auto n = static_cast<std::int64_t>(topo.numNodes());
@@ -196,7 +191,6 @@ TEST(UgalPolicy, FallsBackToMinimalUnderZeroCongestion)
         const auto ugal =
             makeRoutingPolicy(RoutingPolicyKind::Ugal, *topo);
         EXPECT_TRUE(ugal->congestionAware());
-        EXPECT_FALSE(ugal->cacheable());
         const CongestionSnapshot none;
         Rng rng(0x06A1);
         for (int i = 0; i < 300; ++i) {
@@ -334,35 +328,6 @@ TEST(TableOraclePolicy, HopCountsNeverExceedGreedys)
                     << t;
             }
         }
-    }
-}
-
-// ------------------------------------------------- cache gating
-
-TEST(RoutingPolicyCache, AdaptivePolicyKeepsRouteCacheDisengaged)
-{
-    // RouteCache rows are filled from the topology's greedy
-    // routing and keyed by (node, dest, first_hop) alone — a
-    // congestion snapshot can never be part of the key — so only
-    // the greedy policy may engage it.
-    StringFigure topo(
-        makeParams(64, 8, LinkMode::Unidirectional, true));
-    for (const RoutingPolicyKind kind : kAllRoutingPolicies) {
-        sim::SimConfig cfg;
-        cfg.routeCache = true;
-        cfg.policy = kind;
-        sim::NetworkModel model(topo, cfg);
-        model.enableRouteCache();
-        EXPECT_EQ(model.routeCacheActive(),
-                  kind == RoutingPolicyKind::Greedy)
-            << routingPolicyName(kind);
-        EXPECT_EQ(model.routingPolicy().kind(), kind);
-        // Repeated enable attempts must not change the verdict
-        // (the lifecycle analogue of ConfigOffKeepsCacheDisengaged
-        // in test_route_cache.cpp).
-        model.enableRouteCache();
-        EXPECT_EQ(model.routeCacheActive(),
-                  kind == RoutingPolicyKind::Greedy);
     }
 }
 

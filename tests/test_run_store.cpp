@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <utility>
 #include <vector>
 
 #include "exp/registry.hpp"
@@ -695,6 +696,59 @@ TEST(SfxCli, CheckpointRejectsMismatchedInvocation)
               2); // not a checkpoint directory
 }
 
+/**
+ * An --out path the report could never be written to exits 2,
+ * naming --out, before the first run is scheduled: a sweep is not
+ * run only to be thrown away at the final write. Checked on run
+ * (missing directory, a file where the directory should be, a
+ * directory as the report path) and on resume, where a checkpoint
+ * keeps exactly the entries it had.
+ */
+TEST(SfxCli, UnusableOutPathFailsBeforeAnyRun)
+{
+    TempDir work;
+    const std::string ckpt = work.file("ckpt");
+    const std::string plain = work.file("plain");
+    writeFile(plain, "x\n");
+    const auto stored_entries = [&] {
+        std::size_t n = 0;
+        std::error_code ec;
+        for (fs::recursive_directory_iterator it(ckpt, ec), end;
+             !ec && it != end; it.increment(ec))
+            n += it->is_regular_file() &&
+                 it->path().parent_path().filename() == "runs";
+        return n;
+    };
+    for (const std::string &out :
+         {work.file("nonexistent/x.json"), plain + "/x.json",
+          work.path()}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(callSfx({"sfx", "run", "table2_features",
+                           "--quick", "--quiet", "--jobs", "1",
+                           "--checkpoint", ckpt, "--out", out}),
+                  2)
+            << out;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "--out"),
+                  std::string::npos)
+            << out;
+        EXPECT_EQ(stored_entries(), 0u) << out;
+    }
+
+    EXPECT_EQ(callSfx({"sfx", "run", "table2_features", "--quick",
+                       "--quiet", "--jobs", "1", "--checkpoint",
+                       ckpt, "--max-runs", "1"}),
+              3);
+    ASSERT_EQ(stored_entries(), 1u);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(callSfx({"sfx", "resume", ckpt, "--quiet", "--out",
+                       work.file("nonexistent/x.json")}),
+              2);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("--out"),
+              std::string::npos);
+    EXPECT_EQ(stored_entries(), 1u);
+}
+
 /** Count flags take a whole decimal integer in [1, INT_MAX]:
  *  trailing junk, signs, zero and out-of-range values exit 2 with
  *  a message naming the flag instead of truncating or overflowing. */
@@ -721,20 +775,26 @@ TEST(SfxCli, RejectsMalformedCountFlags)
             << flag;
         testing::internal::GetCapturedStdout();
     }
-    // The removed sharded route plane's flag is an unknown option
-    // now, on run and on resume alike.
+    // The removed sharded and memoized route planes' flags are
+    // unknown options now, on run and on resume alike.
     TempDir work;
-    for (const std::vector<std::string> &args :
-         {std::vector<std::string>{"sfx", "run", "table2_features",
-                                   "--list-runs", "--shards", "4"},
-          std::vector<std::string>{"sfx", "resume", work.path(),
-                                   "--shards", "4"}}) {
-        testing::internal::CaptureStderr();
-        EXPECT_EQ(callSfx(args), 2) << args[1];
-        EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                      "unknown option: --shards"),
-                  std::string::npos)
-            << args[1];
+    for (const auto &[flag, value] :
+         {std::pair<std::string, std::string>{"--shards", "4"},
+          std::pair<std::string, std::string>{"--route-cache",
+                                              "off"}}) {
+        for (const std::vector<std::string> &args :
+             {std::vector<std::string>{"sfx", "run",
+                                       "table2_features",
+                                       "--list-runs", flag, value},
+              std::vector<std::string>{"sfx", "resume", work.path(),
+                                       flag, value}}) {
+            testing::internal::CaptureStderr();
+            EXPECT_EQ(callSfx(args), 2) << args[1] << " " << flag;
+            EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                          "unknown option: " + flag),
+                      std::string::npos)
+                << args[1] << " " << flag;
+        }
     }
 }
 

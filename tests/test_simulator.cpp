@@ -379,9 +379,9 @@ TEST(Network, ConservationInvariantAtEveryStep)
     }
 }
 
-/** The knobs of the removed commit-wavefront scheduler and sharded
- *  route plane must fail loudly, not silently fall back to the
- *  serial engine. */
+/** The knobs of the removed commit-wavefront scheduler, sharded
+ *  route plane and memoized route plane must fail loudly, not
+ *  silently fall back to the serial engine. */
 TEST(Network, ConstructorRejectsWavefront)
 {
     const topos::MeshTopology mesh(4, 4);
@@ -391,6 +391,10 @@ TEST(Network, ConstructorRejectsWavefront)
     SimConfig shards;
     shards.shards = 2;
     EXPECT_THROW(NetworkModel(mesh, shards), std::invalid_argument);
+    SimConfig route_cache;
+    route_cache.routeCache = true;
+    EXPECT_THROW(NetworkModel(mesh, route_cache),
+                 std::invalid_argument);
 }
 
 TEST(Reconfiguration, GatingDuringOperationDropsOnlyStrays)
