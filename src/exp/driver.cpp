@@ -58,7 +58,6 @@ struct CliOptions {
     bool timing = false;
     bool listRuns = false;
     bool quiet = false;
-    bool noTopoCache = false;
     /** --help was handled: exit 0, not a usage error. */
     bool helpShown = false;
 };
@@ -110,8 +109,6 @@ printUsage(std::FILE *to)
         "report\n"
         "  --list-runs   print the planned run grid and exit\n"
         "  --quiet       suppress tables, print a summary only\n"
-        "  --no-topo-cache  rebuild topologies per run (identical "
-        "results)\n"
         "  --checkpoint DIR  persist completed runs under DIR and "
         "skip runs\n"
         "                 already stored there (resumable sweeps)\n"
@@ -202,8 +199,7 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
              arg == "--runs" || arg == "--checkpoint" ||
              arg == "--policy" ||
              arg == "--reconfig-schedule" ||
-             arg == "--list-runs" ||
-             arg == "--no-topo-cache")) {
+             arg == "--list-runs")) {
             std::fprintf(stderr,
                          "sfx: %s cannot be overridden on resume "
                          "(the sweep comes from the checkpoint's "
@@ -218,6 +214,18 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
                 return nullptr;
             }
             return argv[++i];
+        };
+        // Paths and globs: an empty value would silently mean no
+        // report, no checkpoint or no filter.
+        const auto need_nonempty = [&](const char *flag) -> char * {
+            char *v = need_value(flag);
+            if (v && *v == '\0') {
+                std::fprintf(stderr,
+                             "sfx: %s needs a non-empty value\n",
+                             flag);
+                return nullptr;
+            }
+            return v;
         };
         if (arg == "--jobs" || arg == "-j") {
             char *v = need_value("--jobs");
@@ -250,7 +258,7 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
             }
             opts.reconfigSchedule = v;
         } else if (arg == "--out" || arg == "-o") {
-            char *v = need_value("--out");
+            char *v = need_nonempty("--out");
             if (!v)
                 return false;
             opts.outPath = v;
@@ -282,12 +290,12 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
             }
             opts.baseSeed = seed;
         } else if (arg == "--runs") {
-            char *v = need_value("--runs");
+            char *v = need_nonempty("--runs");
             if (!v)
                 return false;
             opts.runFilter = v;
         } else if (arg == "--checkpoint") {
-            char *v = need_value("--checkpoint");
+            char *v = need_nonempty("--checkpoint");
             if (!v)
                 return false;
             opts.checkpointDir = v;
@@ -301,8 +309,6 @@ parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
             opts.maxRuns = static_cast<std::size_t>(n);
         } else if (arg == "--timing") {
             opts.timing = true;
-        } else if (arg == "--no-topo-cache") {
-            opts.noTopoCache = true;
         } else if (arg == "--list-runs") {
             opts.listRuns = true;
         } else if (arg == "--quiet" || arg == "-q") {
@@ -432,8 +438,6 @@ doRun(const CliOptions &opts)
     if (!opts.outPath.empty() && !outPathUsable(opts.outPath))
         return 2;
 
-    topos::setTopologyCacheEnabled(!opts.noTopoCache);
-
     // Resumable sweeps: bind (or create) the checkpoint directory
     // before any work, so meta mismatches fail fast.
     std::unique_ptr<RunStore> store;
@@ -491,7 +495,7 @@ doRun(const CliOptions &opts)
                         std::string(effortName(opts.effort))
                             .c_str(),
                         runs.size(),
-                        poolJobs(sched, runs.size()));
+                        effectiveJobs(sched, runs.size()));
             std::fflush(stdout);
         }
         ExperimentResults results;
@@ -561,7 +565,7 @@ doRun(const CliOptions &opts)
                      "failed; those runs will re-execute on "
                      "resume\n",
                      store->stats().writeErrors);
-    if (!opts.quiet && !opts.noTopoCache) {
+    if (!opts.quiet) {
         const auto cache = topos::topologyCache().stats();
         if (cache.hits + cache.misses > 0)
             std::printf("topology cache: %llu hits, %llu builds"

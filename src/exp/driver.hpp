@@ -12,9 +12,9 @@
  *
  * Options: --jobs N, --out FILE, --effort quick|default|full
  * (plus the legacy --quick/--full spellings), --seed S, --timing,
- * --list-runs, --quiet, --no-topo-cache, --checkpoint DIR,
- * --max-runs N (simulated interrupt, exit 3); diff takes
- * --tolerance F, --json, and --bless.
+ * --list-runs, --quiet, --checkpoint DIR, --max-runs N (simulated
+ * interrupt, exit 3); diff takes --tolerance F, --json, and
+ * --bless.
  *
  * A bench wrapper is the same driver pinned to one glob:
  * benchMain("fig10_saturation", argc, argv).

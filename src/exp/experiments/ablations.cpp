@@ -79,7 +79,7 @@ adaptiveSpec()
                           sim::findSaturationRate(
                               *topo, pattern, cfg,
                               sim::RunPhases::saturationProbe(),
-                              0.12, rc.executor));
+                              0.12));
                     return m;
                 };
                 runs.push_back(std::move(run));
@@ -129,7 +129,7 @@ balanceSpec()
                           *topo,
                           sim::TrafficPattern::UniformRandom,
                           cfg, sim::RunPhases::saturationProbe(),
-                          0.12, rc.executor));
+                          0.12));
                 return m;
             };
             runs.push_back(std::move(run));
@@ -293,7 +293,7 @@ unidirSpec()
                                   UniformRandom,
                               cfg,
                               sim::RunPhases::saturationProbe(),
-                              0.12, rc.executor));
+                              0.12));
                     return m;
                 };
                 runs.push_back(std::move(run));

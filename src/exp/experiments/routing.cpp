@@ -109,7 +109,7 @@ routingBakeoffSpec()
                             const double sat =
                                 sim::findSaturationRate(
                                     *topo, pattern, cfg, phases,
-                                    tolerance, rc.executor);
+                                    tolerance);
                             const double probe = 0.9 * sat;
                             const auto r = sim::runSynthetic(
                                 *topo, pattern, probe, cfg,

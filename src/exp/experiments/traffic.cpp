@@ -7,9 +7,9 @@
  * grid cell is one independent simulation.
  *
  * Both sweeps route over shared immutable topologies from the
- * process-wide cache (one build per design/scale, not per cell),
- * and the Fig 10 saturation searches fan their candidate probe
- * rates out on the scheduler's work pool via rc.executor.
+ * process-wide cache (one build per design/scale, not per cell).
+ * A Fig 10 saturation search probes its rates one after another
+ * inside its run.
  */
 
 #include <vector>
@@ -83,7 +83,7 @@ fig10Spec()
                                 *topo, pattern, cfg,
                                 sim::RunPhases::
                                     saturationProbe(),
-                                tolerance, rc.executor);
+                                tolerance);
                         Json m = Json::object();
                         m.set("saturation_rate", sat);
                         m.set("saturation_pct", 100.0 * sat);

@@ -5,10 +5,9 @@
  * and per-run seeds derive from stable names, so any job count
  * produces the identical result vector.
  *
- * The threads live in a WorkPool (work_pool.hpp) rather than in
- * the scheduler privately: each run body receives the pool as the
- * sim::Executor in its RunContext and may submit nested batches
- * (e.g. concurrent saturation probes), which idle workers execute.
+ * A run is the unit of parallelism: runExperiment starts up to
+ * --jobs threads (never more than there are runs), and each claims
+ * whole runs by plan index. A run body itself runs on one thread.
  */
 
 #pragma once
@@ -90,17 +89,12 @@ struct SchedulerOptions {
 int effectiveJobs(const SchedulerOptions &opts, std::size_t n);
 
 /**
- * Total work-pool parallelism for @p n runs: not clamped to the
- * run count, because surplus workers serve nested batches (up to 8
- * saturation probes per run), but never more than requested /
- * available.
- */
-int poolJobs(const SchedulerOptions &opts, std::size_t n);
-
-/**
- * Execute every run of @p exp (already planned as @p runs) and
- * return results in plan order. A throwing body marks its run
- * failed and never tears down the sweep.
+ * Execute every run of @p exp (already planned as @p runs) on
+ * effectiveJobs() threads, the caller included, and return results
+ * in plan order. A throwing body marks its run failed and never
+ * tears down the sweep. An exception thrown by onRunDone or the
+ * checkpoint store leaves the other runs to finish, and the first
+ * one is rethrown after every thread has joined.
  */
 std::vector<RunResult> runExperiment(const ExperimentSpec &exp,
                                      const std::vector<RunSpec> &runs,

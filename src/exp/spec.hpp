@@ -67,12 +67,11 @@ struct RunContext {
     std::uint64_t baseSeed = kBaseSeed;
     Effort effort = Effort::Default;
     /**
-     * The scheduler's work pool, for nested parallelism inside a
-     * run (e.g. concurrent saturation probes). Never null while a
-     * body runs; idle-capacity aware, so nested fan-out only uses
-     * workers that would otherwise sit out the sweep tail. Bodies
-     * must not let determinism depend on it: anything submitted
-     * must be a pure function of the run's own inputs.
+     * Removed hook: always null, and nothing in the library sets
+     * or reads it (the nested work pool was deleted; a run body
+     * runs on one thread). Kept only because the frozen benchmark
+     * (perfbench/sfbench.cpp) passes it to sim::runSynthetic; to be
+     * deleted by the next change that may edit perfbench/.
      */
     sim::Executor *executor = nullptr;
     /**

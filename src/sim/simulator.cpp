@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -449,166 +447,42 @@ zeroLoadLatency(const net::Topology &topo, const SimConfig &cfg,
     return result.avgTotalLatency;
 }
 
-namespace {
-
-/**
- * One step of walking the serial search against the known probe
- * outcomes: either the search finished with a value, or it is
- * blocked on the probe rate in `needs`.
- */
-struct SearchWalk {
-    bool done = false;
-    double value = 0.0;
-    double needs = 0.0;
-};
-
-/** Pseudo-rate standing for the zero-load calibration run. */
-constexpr double kZeroLoadProbe = -1.0;
-
-} // namespace
-
 double
 findSaturationRate(const net::Topology &topo, TrafficPattern pattern,
                    const SimConfig &cfg, const RunPhases &phases,
-                   double tolerance, Executor *executor)
+                   double tolerance)
 {
-    Executor &exec = executor ? *executor : serialExecutor();
-
-    // Memoised probe outcomes. A probe is a pure function of its
-    // rate — the traffic RNG seeds from cfg.seed alone — so probes
-    // may be evaluated in any order (including speculatively, in
-    // parallel) without changing what the serial search would pick.
-    std::map<double, RunResult> memo;
-    double zero_load = -1.0; // < 0 until calibrated
-
-    const auto interpret = [&](const RunResult &r) {
-        const double latency_cap = std::max(3.0 * zero_load, 120.0);
+    // A rate saturates when its run cannot drain or its average
+    // latency exceeds 3x the zero-load latency (at least 120
+    // cycles).
+    const double latency_cap =
+        std::max(3.0 * zeroLoadLatency(topo, cfg, pattern), 120.0);
+    const auto saturated = [&](double rate) {
+        const RunResult r =
+            runSynthetic(topo, pattern, rate, cfg, phases);
         return r.saturated || r.avgTotalLatency > latency_cap;
     };
 
-    // Walk the exact serial algorithm (geometric descent, then
-    // bisection) against memoised outcomes; `assume` supplies
-    // hypothetical outcomes so the speculation planner can explore
-    // the decision tree past the blocking probe.
-    const auto walk =
-        [&](const std::map<double, bool> &assume) -> SearchWalk {
-        const bool zero_load_known =
-            zero_load >= 0.0 || assume.count(kZeroLoadProbe) > 0;
-        if (!zero_load_known)
-            return {false, 0.0, kZeroLoadProbe};
-        bool blocked = false;
-        double needs = 0.0;
-        const auto sat = [&](double rate) {
-            if (zero_load >= 0.0) {
-                const auto it = memo.find(rate);
-                if (it != memo.end())
-                    return interpret(it->second);
-            }
-            const auto ia = assume.find(rate);
-            if (ia != assume.end())
-                return ia->second;
-            blocked = true;
-            needs = rate;
-            return false;
-        };
-
-        const bool sat_full = sat(1.0);
-        if (blocked)
-            return {false, 0.0, needs};
-        if (!sat_full)
-            return {true, 1.0, 0.0};
-        double hi = 1.0;
-        double probe = 0.5;
-        while (probe > 1e-4) {
-            const bool s = sat(probe);
-            if (blocked)
-                return {false, 0.0, needs};
-            if (!s)
-                break;
-            hi = probe;
-            probe /= 4.0;
-        }
-        if (probe <= 1e-4)
-            return {true, probe, 0.0};
-        double lo = probe;
-        while (hi / lo > 1.0 + tolerance) {
-            const double mid = std::sqrt(hi * lo);
-            const bool s = sat(mid);
-            if (blocked)
-                return {false, 0.0, needs};
-            if (s)
-                hi = mid;
-            else
-                lo = mid;
-        }
-        return {true, lo, 0.0};
-    };
-
-    while (true) {
-        const SearchWalk step = walk({});
-        if (step.done)
-            return step.value;
-
-        // The probe the serial search needs right now, plus — when
-        // idle workers exist — the probes it may need next (BFS
-        // over both outcomes of each pending probe). Speculation
-        // only ever uses capacity that would otherwise idle.
-        std::vector<double> batch{step.needs};
-        const int width = exec.availableParallelism();
-        if (width > 1) {
-            std::deque<std::map<double, bool>> frontier;
-            if (step.needs == kZeroLoadProbe) {
-                frontier.push_back({{kZeroLoadProbe, true}});
-            } else {
-                frontier.push_back({{step.needs, true}});
-                frontier.push_back({{step.needs, false}});
-            }
-            int expansions = 0;
-            while (static_cast<int>(batch.size()) < width &&
-                   !frontier.empty() && expansions < 8 * width) {
-                ++expansions;
-                const std::map<double, bool> assume =
-                    std::move(frontier.front());
-                frontier.pop_front();
-                const SearchWalk spec = walk(assume);
-                if (spec.done)
-                    continue;
-                if (std::find(batch.begin(), batch.end(),
-                              spec.needs) == batch.end())
-                    batch.push_back(spec.needs);
-                std::map<double, bool> yes = assume;
-                yes[spec.needs] = true;
-                frontier.push_back(std::move(yes));
-                if (spec.needs != kZeroLoadProbe) {
-                    std::map<double, bool> no = assume;
-                    no[spec.needs] = false;
-                    frontier.push_back(std::move(no));
-                }
-            }
-        }
-
-        std::vector<RunResult> results(batch.size());
-        double zero_load_result = -1.0;
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            tasks.push_back([&, i] {
-                if (batch[i] == kZeroLoadProbe)
-                    zero_load_result =
-                        zeroLoadLatency(topo, cfg, pattern);
-                else
-                    results[i] = runSynthetic(topo, pattern,
-                                              batch[i], cfg, phases);
-            });
-        }
-        exec.runAll(tasks);
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (batch[i] == kZeroLoadProbe)
-                zero_load = zero_load_result;
-            else
-                memo.emplace(batch[i], std::move(results[i]));
-        }
+    if (!saturated(1.0))
+        return 1.0;
+    // Geometric descent to the first unsaturated rate...
+    double hi = 1.0;
+    double lo = 0.5;
+    while (lo > 1e-4 && saturated(lo)) {
+        hi = lo;
+        lo /= 4.0;
     }
+    if (lo <= 1e-4)
+        return lo;
+    // ...then bisection in log space down to the tolerance.
+    while (hi / lo > 1.0 + tolerance) {
+        const double mid = std::sqrt(hi * lo);
+        if (saturated(mid))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return lo;
 }
 
 std::vector<SweepPoint>

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "net/topology.hpp"
-#include "sim/executor.hpp"
 #include "sim/network.hpp"
 #include "sim/reconfig_schedule.hpp"
 #include "sim/sim_config.hpp"
@@ -22,6 +21,9 @@ class StringFigure;
 }
 
 namespace sf::sim {
+
+/** Only named by runSynthetic's frozen-benchmark parameter. */
+class Executor;
 
 /** Phase lengths of one run, in cycles. */
 struct RunPhases {
@@ -227,20 +229,18 @@ double zeroLoadLatency(const net::Topology &topo,
  * (within @p tolerance, geometric) that is not saturated. 1.0 means
  * the network absorbs full injection bandwidth.
  *
- * Every probe is a pure function of its rate (the traffic RNG
- * derives from cfg.seed alone), so when @p executor offers idle
- * parallelism the search evaluates the probes the bisection may
- * need next speculatively and concurrently — and still selects the
- * exact rate the serial search would. With a null executor (or
- * availableParallelism() == 1) the probe sequence is identical to
- * the classic serial geometric-descent-plus-bisection.
+ * The search runs its probes one after another on the calling
+ * thread: the zero-load calibration, the probe at 1.0, a descent
+ * from 0.5 that divides the rate by 4 until a probe is unsaturated,
+ * then a bisection in log space. Every probe is a pure function of
+ * its rate (the traffic RNG derives from cfg.seed alone), and no
+ * rate is probed twice.
  */
 double findSaturationRate(const net::Topology &topo,
                           TrafficPattern pattern,
                           const SimConfig &cfg,
                           const RunPhases &phases = {},
-                          double tolerance = 0.07,
-                          Executor *executor = nullptr);
+                          double tolerance = 0.07);
 
 /** Latency-vs-rate curve point. */
 struct SweepPoint {

@@ -1,7 +1,6 @@
 #include "topos/factory.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -82,8 +81,6 @@ randomTopologyPorts(std::size_t n)
 
 namespace {
 
-std::atomic<bool> g_cache_enabled{true};
-
 /** Canonical cache-key encoding of every SF construction knob
  *  except numNodes and seed (those are separate key fields). */
 std::string
@@ -103,8 +100,9 @@ sfVariant(const core::SFParams &p)
 }
 
 /** The factory's SF configuration: default knobs at the scale's
- *  paper port policy. Single source for both the fresh build and
- *  the cache key, so cache-on and cache-off stay value-identical. */
+ *  paper port policy. Single source for both makeTopology() and
+ *  the cache key, so a cached SF is value-identical to a fresh
+ *  build. */
 core::SFParams
 defaultSfParams(std::size_t n, std::uint64_t seed)
 {
@@ -160,18 +158,6 @@ topologyCache()
     return cache;
 }
 
-void
-setTopologyCacheEnabled(bool enabled)
-{
-    g_cache_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-topologyCacheEnabled()
-{
-    return g_cache_enabled.load(std::memory_order_relaxed);
-}
-
 std::shared_ptr<const net::Topology>
 cachedTopology(TopoKind kind, std::size_t n, std::uint64_t seed,
                int odm_multiplier)
@@ -180,8 +166,6 @@ cachedTopology(TopoKind kind, std::size_t n, std::uint64_t seed,
     // SF configuration is just the default-knob parameter set.
     if (kind == TopoKind::SF && supported(kind, n))
         return cachedTopology(defaultSfParams(n, seed));
-    if (!topologyCacheEnabled())
-        return makeTopology(kind, n, seed, odm_multiplier);
     net::TopologyKey key;
     key.kind = kindName(kind);
     key.nodes = n;
@@ -196,18 +180,15 @@ cachedTopology(TopoKind kind, std::size_t n, std::uint64_t seed,
 std::shared_ptr<const net::Topology>
 cachedTopology(const core::SFParams &params)
 {
-    const auto build = [&params] {
-        return std::shared_ptr<const net::Topology>(
-            std::make_shared<const core::StringFigure>(params));
-    };
-    if (!topologyCacheEnabled())
-        return build();
     net::TopologyKey key;
     key.kind = "SF";
     key.nodes = params.numNodes;
     key.seed = params.seed;
     key.variant = sfVariant(params);
-    return topologyCache().getOrBuild(key, build);
+    return topologyCache().getOrBuild(key, [&params] {
+        return std::shared_ptr<const net::Topology>(
+            std::make_shared<const core::StringFigure>(params));
+    });
 }
 
 int

@@ -70,8 +70,7 @@ std::shared_ptr<const net::Topology> makeTopology(
  * Shared instance for (kind, n, seed, odm_multiplier) via the
  * process-wide topology cache: repeated requests — e.g. every rate
  * point of a latency sweep, or concurrent runs across scheduler
- * threads — receive the same immutable topology, built once. Falls
- * back to a fresh makeTopology() build while caching is disabled.
+ * threads — receive the same immutable topology, built once.
  */
 std::shared_ptr<const net::Topology> cachedTopology(
     TopoKind kind, std::size_t n, std::uint64_t seed,
@@ -88,17 +87,6 @@ cachedTopology(const core::SFParams &params);
 
 /** The process-wide topology cache behind cachedTopology(). */
 net::TopologyCache &topologyCache();
-
-/**
- * Toggle cachedTopology() cache use (on by default). Results are
- * identical either way — a cached topology is value-identical to a
- * fresh build — so this only trades memory for build time; the
- * sfx `--no-topo-cache` flag and the determinism tests use it.
- */
-void setTopologyCacheEnabled(bool enabled);
-
-/** Current cachedTopology() cache-use setting. */
-bool topologyCacheEnabled();
 
 /**
  * Parallel-link multiplier that brings a mesh's empirical bisection

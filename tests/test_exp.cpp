@@ -11,13 +11,13 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
 #include "exp/run_store.hpp"
 #include "exp/scheduler.hpp"
-#include "exp/work_pool.hpp"
 #include "topos/factory.hpp"
 
 namespace {
@@ -384,23 +384,41 @@ TEST(Scheduler, RunsConcurrently)
     EXPECT_LT(ms, 60.0 * kRuns / 2.0);
 }
 
+/**
+ * onRunDone sees every run once. An exception it throws (on its
+ * 3rd call here) does not stop the sweep: every run still finishes
+ * and reports, and runExperiment rethrows that exception after
+ * every thread has joined.
+ */
 TEST(Scheduler, ProgressCallbackSeesEveryRun)
 {
     const ExperimentSpec spec = toySpec(10);
-    SchedulerOptions opts;
-    opts.jobs = 4;
-    std::size_t calls = 0;
-    std::size_t last_total = 0;
-    opts.onRunDone = [&](std::size_t done, std::size_t total,
-                         const RunResult &) {
-        ++calls;
-        EXPECT_GE(done, 1u);
-        EXPECT_LE(done, total);
-        last_total = total;
-    };
-    runExperiment(spec, spec.plan({}), opts);
-    EXPECT_EQ(calls, 10u);
-    EXPECT_EQ(last_total, 10u);
+    for (const int jobs : {1, 4}) {
+        for (const bool throw_third : {false, true}) {
+            SchedulerOptions opts;
+            opts.jobs = jobs;
+            std::size_t calls = 0;
+            std::size_t last_total = 0;
+            opts.onRunDone = [&](std::size_t done, std::size_t total,
+                                 const RunResult &) {
+                ++calls;
+                EXPECT_GE(done, 1u);
+                EXPECT_LE(done, total);
+                last_total = total;
+                if (throw_third && calls == 3)
+                    throw std::runtime_error("progress failed");
+            };
+            if (throw_third) {
+                EXPECT_THROW(runExperiment(spec, spec.plan({}), opts),
+                             std::runtime_error)
+                    << jobs;
+            } else {
+                runExperiment(spec, spec.plan({}), opts);
+            }
+            EXPECT_EQ(calls, 10u) << jobs << throw_third;
+            EXPECT_EQ(last_total, 10u) << jobs << throw_third;
+        }
+    }
 }
 
 /**
@@ -437,11 +455,11 @@ TEST(Report, ByteIdenticalAcrossJobCounts)
 
 /**
  * The refactor's core guarantee: a saturation-search experiment —
- * shared cached topologies, nested parallel probes — produces a
- * byte-identical report at any job count, with the topology cache
- * on or off. Pinned on a small fig10 slice so it runs in seconds.
+ * shared cached topologies, one serial probe walk per run —
+ * produces a byte-identical report at any job count. Pinned on a
+ * small fig10 slice so it runs in seconds.
  */
-TEST(Report, SaturationSliceByteIdenticalAcrossJobsAndCache)
+TEST(Report, SaturationSliceByteIdenticalAcrossJobs)
 {
     const ExperimentSpec *spec =
         registry().find("fig10_saturation");
@@ -454,8 +472,7 @@ TEST(Report, SaturationSliceByteIdenticalAcrossJobsAndCache)
     });
     ASSERT_GE(runs.size(), 3u);
 
-    const auto report_with = [&](int jobs, bool cache) {
-        sf::topos::setTopologyCacheEnabled(cache);
+    const auto report_with = [&](int jobs) {
         sf::topos::topologyCache().clear();
         SchedulerOptions opts;
         opts.jobs = jobs;
@@ -469,80 +486,9 @@ TEST(Report, SaturationSliceByteIdenticalAcrossJobsAndCache)
         return buildReport({results}, ropts).dump(2);
     };
 
-    const std::string reference = report_with(1, true);
+    const std::string reference = report_with(1);
     EXPECT_FALSE(reference.empty());
-    EXPECT_EQ(report_with(8, true), reference);
-    EXPECT_EQ(report_with(1, false), reference);
-    EXPECT_EQ(report_with(8, false), reference);
-    sf::topos::setTopologyCacheEnabled(true);
-}
-
-TEST(Scheduler, RunBodiesGetNestedExecutor)
-{
-    ExperimentSpec spec;
-    spec.name = "nested";
-    spec.plan = [](const PlanContext &) {
-        std::vector<RunSpec> out;
-        for (int i = 0; i < 3; ++i) {
-            RunSpec run;
-            run.id = "n" + std::to_string(i);
-            run.body = [](const RunContext &ctx) -> Json {
-                // Nested fan-out through the scheduler's pool.
-                EXPECT_NE(ctx.executor, nullptr);
-                std::atomic<int> sum{0};
-                std::vector<std::function<void()>> tasks;
-                for (int t = 1; t <= 4; ++t)
-                    tasks.push_back([&sum, t] { sum += t; });
-                ctx.executor->runAll(tasks);
-                Json m = Json::object();
-                m.set("sum", sum.load());
-                return m;
-            };
-            out.push_back(std::move(run));
-        }
-        return out;
-    };
-    for (const int jobs : {1, 4}) {
-        SchedulerOptions opts;
-        opts.jobs = jobs;
-        const auto results =
-            runExperiment(spec, spec.plan({}), opts);
-        for (const RunResult &r : results) {
-            EXPECT_FALSE(r.failed) << r.error;
-            EXPECT_EQ(r.metrics.at("sum").asInt(), 10);
-        }
-    }
-}
-
-TEST(WorkPool, NestedBatchesAndExceptions)
-{
-    WorkPool pool(4);
-    EXPECT_EQ(pool.parallelism(), 4);
-
-    // Nested batches complete from inside pool tasks.
-    std::atomic<int> total{0};
-    std::vector<std::function<void()>> outer;
-    for (int i = 0; i < 4; ++i)
-        outer.push_back([&] {
-            std::vector<std::function<void()>> inner;
-            for (int j = 0; j < 8; ++j)
-                inner.push_back([&] { ++total; });
-            pool.runAll(inner);
-        });
-    pool.runAll(outer);
-    EXPECT_EQ(total.load(), 32);
-
-    // A throwing task propagates after the batch drains.
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> failing;
-    for (int i = 0; i < 6; ++i)
-        failing.push_back([&ran, i] {
-            ++ran;
-            if (i == 2)
-                throw std::runtime_error("task failed");
-        });
-    EXPECT_THROW(pool.runAll(failing), std::runtime_error);
-    EXPECT_EQ(ran.load(), 6);
+    EXPECT_EQ(report_with(8), reference);
 }
 
 TEST(Report, SchemaRoundTrip)

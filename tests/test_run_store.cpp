@@ -701,8 +701,8 @@ TEST(SfxCli, CheckpointRejectsMismatchedInvocation)
  * naming --out, before the first run is scheduled: a sweep is not
  * run only to be thrown away at the final write. Checked on run
  * (missing directory, a file where the directory should be, a
- * directory as the report path) and on resume, where a checkpoint
- * keeps exactly the entries it had.
+ * directory as the report path, an empty path) and on resume,
+ * where a checkpoint keeps exactly the entries it had.
  */
 TEST(SfxCli, UnusableOutPathFailsBeforeAnyRun)
 {
@@ -721,7 +721,7 @@ TEST(SfxCli, UnusableOutPathFailsBeforeAnyRun)
     };
     for (const std::string &out :
          {work.file("nonexistent/x.json"), plain + "/x.json",
-          work.path()}) {
+          work.path(), std::string()}) {
         testing::internal::CaptureStderr();
         EXPECT_EQ(callSfx({"sfx", "run", "table2_features",
                            "--quick", "--quiet", "--jobs", "1",
@@ -740,13 +740,43 @@ TEST(SfxCli, UnusableOutPathFailsBeforeAnyRun)
                        ckpt, "--max-runs", "1"}),
               3);
     ASSERT_EQ(stored_entries(), 1u);
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(callSfx({"sfx", "resume", ckpt, "--quiet", "--out",
-                       work.file("nonexistent/x.json")}),
-              2);
-    EXPECT_NE(testing::internal::GetCapturedStderr().find("--out"),
-              std::string::npos);
-    EXPECT_EQ(stored_entries(), 1u);
+    for (const std::string &out :
+         {work.file("nonexistent/x.json"), std::string()}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(callSfx({"sfx", "resume", ckpt, "--quiet",
+                           "--out", out}),
+                  2)
+            << out;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "--out"),
+                  std::string::npos)
+            << out;
+        EXPECT_EQ(stored_entries(), 1u) << out;
+    }
+}
+
+/** A path or glob flag given an empty value exits 2 naming the
+ *  flag, instead of silently writing no report, keeping no
+ *  checkpoint or filtering no run. */
+TEST(SfxCli, RejectsEmptyPathAndGlobValues)
+{
+    for (const auto &[flag, named] :
+         {std::pair<std::string, std::string>{"--out", "--out"},
+          std::pair<std::string, std::string>{"-o", "--out"},
+          std::pair<std::string, std::string>{"--checkpoint",
+                                              "--checkpoint"},
+          std::pair<std::string, std::string>{"--runs", "--runs"}}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(callSfx({"sfx", "run", "table2_features",
+                           "--quick", "--quiet", "--jobs", "1", flag,
+                           ""}),
+                  2)
+            << flag;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      named + " needs a non-empty value"),
+                  std::string::npos)
+            << flag;
+    }
 }
 
 /** Count flags take a whole decimal integer in [1, INT_MAX]:
@@ -775,19 +805,22 @@ TEST(SfxCli, RejectsMalformedCountFlags)
             << flag;
         testing::internal::GetCapturedStdout();
     }
-    // The removed sharded and memoized route planes' flags are
-    // unknown options now, on run and on resume alike.
+    // The removed sharded and memoized route planes' flags and the
+    // removed topology-cache toggle are unknown options now, on run
+    // and on resume alike.
     TempDir work;
-    for (const auto &[flag, value] :
-         {std::pair<std::string, std::string>{"--shards", "4"},
-          std::pair<std::string, std::string>{"--route-cache",
-                                              "off"}}) {
-        for (const std::vector<std::string> &args :
+    for (const std::vector<std::string> &removed :
+         {std::vector<std::string>{"--shards", "4"},
+          std::vector<std::string>{"--route-cache", "off"},
+          std::vector<std::string>{"--no-topo-cache"}}) {
+        const std::string &flag = removed.front();
+        for (std::vector<std::string> args :
              {std::vector<std::string>{"sfx", "run",
                                        "table2_features",
-                                       "--list-runs", flag, value},
-              std::vector<std::string>{"sfx", "resume", work.path(),
-                                       flag, value}}) {
+                                       "--list-runs"},
+              std::vector<std::string>{"sfx", "resume",
+                                       work.path()}}) {
+            args.insert(args.end(), removed.begin(), removed.end());
             testing::internal::CaptureStderr();
             EXPECT_EQ(callSfx(args), 2) << args[1] << " " << flag;
             EXPECT_NE(testing::internal::GetCapturedStderr().find(

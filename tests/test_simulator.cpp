@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "core/string_figure.hpp"
-#include "exp/work_pool.hpp"
 #include "sim/simulator.hpp"
 #include "topos/factory.hpp"
 #include "topos/mesh.hpp"
@@ -175,32 +174,6 @@ TEST(Harness, HotspotSaturatesBeforeUniform)
     const double sat_hotspot = findSaturationRate(
         topo, TrafficPattern::Hotspot, cfg, phases, 0.15);
     EXPECT_LT(sat_hotspot, sat_uniform);
-}
-
-TEST(Harness, ParallelSaturationSearchMatchesSerial)
-{
-    // The speculative parallel search must select the exact rate
-    // the serial bisection does: probes are pure functions of
-    // their rate, so extra speculative evaluations change nothing.
-    core::StringFigure topo(sfParams(32, 4));
-    SimConfig cfg;
-    cfg.seed = 9;
-    RunPhases phases;
-    phases.warmup = 400;
-    phases.measure = 1000;
-    phases.drainLimit = 5000;
-    const double serial = findSaturationRate(
-        topo, TrafficPattern::UniformRandom, cfg, phases, 0.15);
-    exp::WorkPool pool(4);
-    const double parallel = findSaturationRate(
-        topo, TrafficPattern::UniformRandom, cfg, phases, 0.15,
-        &pool);
-    EXPECT_EQ(parallel, serial);
-    // And an explicitly serial executor too.
-    const double inline_exec = findSaturationRate(
-        topo, TrafficPattern::UniformRandom, cfg, phases, 0.15,
-        &serialExecutor());
-    EXPECT_EQ(inline_exec, serial);
 }
 
 TEST(Harness, AcceptedTracksOfferedWhenUnsaturated)

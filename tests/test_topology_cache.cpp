@@ -3,7 +3,7 @@
  * Tests for the shared-immutable-topology ownership model: the
  * net::TopologyCache hit/miss/eviction semantics, once-only
  * construction under same-key concurrency, and the factory's
- * cachedTopology() sharing/toggle behaviour.
+ * cachedTopology() sharing behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -161,7 +161,6 @@ TEST(TopologyCache, FailedBuildRetries)
 
 TEST(Factory, CachedTopologySharesInstances)
 {
-    topos::setTopologyCacheEnabled(true);
     topos::topologyCache().clear();
     const auto a =
         topos::cachedTopology(topos::TopoKind::SF, 16, 3);
@@ -185,18 +184,6 @@ TEST(Factory, CachedTopologySharesInstances)
     params.twoHopTable = false;
     const auto d = topos::cachedTopology(params);
     EXPECT_NE(d.get(), a.get());
-}
-
-TEST(Factory, CacheToggleDisablesSharing)
-{
-    topos::setTopologyCacheEnabled(false);
-    const auto a =
-        topos::cachedTopology(topos::TopoKind::SF, 16, 3);
-    const auto b =
-        topos::cachedTopology(topos::TopoKind::SF, 16, 3);
-    EXPECT_NE(a.get(), b.get());
-    topos::setTopologyCacheEnabled(true);
-    EXPECT_TRUE(topos::topologyCacheEnabled());
 }
 
 TEST(Factory, SharedBuildTopologyIsDeployedNetwork)
