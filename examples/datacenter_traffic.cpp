@@ -55,6 +55,6 @@ main()
     }
     std::printf("\nRandom multi-space topologies sustain far higher "
                 "loads than meshes\non adversarial patterns; see "
-                "bench/fig10 for the full sweep.\n");
+                "`sfx run fig10_saturation` for the full sweep.\n");
     return 0;
 }

@@ -54,7 +54,7 @@ main()
                     128 - network.reconfig().numAlive());
     }
     std::printf("\nGating trades a little runtime for background-"
-                "energy savings;\nsee bench/fig09b for the paper-"
-                "scale sweep.\n");
+                "energy savings;\nsee `sfx run fig09b_power_gating_edp`"
+                " for the paper-scale sweep.\n");
     return 0;
 }

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <system_error>
 #include <vector>
 
@@ -181,11 +182,11 @@ parseCount(const char *flag, const char *v, int &out)
     return true;
 }
 
-/** Parse options shared by `sfx run`, `sfx resume`, and the bench
- *  wrappers. With @p execution_knobs_only (resume), flags that
- *  define the sweep itself — which the checkpoint's meta.json owns
- *  — are rejected rather than parsed. Returns false (after
- *  printing a message) on bad usage. */
+/** Parse options shared by `sfx run` and `sfx resume`. With
+ *  @p execution_knobs_only (resume), flags that define the sweep
+ *  itself — which the checkpoint's meta.json owns — are rejected
+ *  rather than parsed. Returns false (after printing a message) on
+ *  bad usage. */
 bool
 parseRunOptions(int argc, char **argv, int first, CliOptions &opts,
                 bool accept_patterns,
@@ -568,14 +569,11 @@ doRun(const CliOptions &opts)
     if (!opts.quiet) {
         const auto cache = topos::topologyCache().stats();
         if (cache.hits + cache.misses > 0)
-            std::printf("topology cache: %llu hits, %llu builds"
-                        ", %llu evictions\n",
+            std::printf("topology cache: %llu hits, %llu builds\n",
                         static_cast<unsigned long long>(
                             cache.hits),
                         static_cast<unsigned long long>(
-                            cache.misses),
-                        static_cast<unsigned long long>(
-                            cache.evictions));
+                            cache.misses));
     }
 
     if (pending > 0) {
@@ -1264,16 +1262,6 @@ sfxMain(int argc, char **argv)
     std::fprintf(stderr, "sfx: unknown command: %s\n", argv[1]);
     printUsage(stderr);
     return 2;
-}
-
-int
-benchMain(const std::string &patterns, int argc, char **argv)
-{
-    CliOptions opts;
-    if (!parseRunOptions(argc, argv, 1, opts, false))
-        return opts.helpShown ? 0 : 2;
-    opts.patterns = {patterns};
-    return doRun(opts);
 }
 
 } // namespace sf::exp

@@ -1,7 +1,6 @@
 /**
  * @file
- * The unified experiment driver behind the `sfx` CLI and the
- * per-figure bench wrappers.
+ * The unified experiment driver behind the `sfx` CLI.
  *
  *   sfx list                          — registry contents
  *   sfx run <name|glob>... [options]  — plan, schedule, report
@@ -15,25 +14,13 @@
  * --list-runs, --quiet, --checkpoint DIR, --max-runs N (simulated
  * interrupt, exit 3); diff takes --tolerance F, --json, and
  * --bless.
- *
- * A bench wrapper is the same driver pinned to one glob:
- * benchMain("fig10_saturation", argc, argv).
  */
 
 #pragma once
-
-#include <string>
 
 namespace sf::exp {
 
 /** Entry point of the sfx binary. */
 int sfxMain(int argc, char **argv);
-
-/**
- * Entry point of a single-figure bench wrapper: behaves like
- * `sfx run <patterns>` with the remaining argv options applied.
- * @p patterns may be comma-separated globs.
- */
-int benchMain(const std::string &patterns, int argc, char **argv);
 
 } // namespace sf::exp

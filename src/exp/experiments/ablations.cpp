@@ -70,9 +70,7 @@ adaptiveSpec()
                     // share the same immutable topology.
                     const auto topo = topos::cachedTopology(
                         sfParams(n, rc.baseSeed));
-                    sim::SimConfig cfg;
-                    cfg.seed = rc.seed;
-                    cfg.policy = rc.policy;
+                    sim::SimConfig cfg = simConfigFor(rc);
                     cfg.adaptive = adaptive;
                     Json m = Json::object();
                     m.set("saturation_rate",
@@ -117,9 +115,7 @@ balanceSpec()
                 const auto topo = topos::cachedTopology(params);
                 const auto stats =
                     net::allPairsStats(topo->graph());
-                sim::SimConfig cfg;
-                cfg.seed = rc.seed;
-                cfg.policy = rc.policy;
+                const sim::SimConfig cfg = simConfigFor(rc);
                 Json m = Json::object();
                 m.set("avg_hops", stats.average);
                 m.set("diameter", static_cast<std::int64_t>(
@@ -279,9 +275,7 @@ unidirSpec()
                     params.linkMode = mode;
                     const auto topo =
                         topos::cachedTopology(params);
-                    sim::SimConfig cfg;
-                    cfg.seed = rc.seed;
-                    cfg.policy = rc.policy;
+                    const sim::SimConfig cfg = simConfigFor(rc);
                     Json m = Json::object();
                     m.set("avg_hops",
                           net::allPairsStats(topo->graph())

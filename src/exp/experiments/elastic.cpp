@@ -34,15 +34,6 @@ namespace sf::exp {
 
 namespace {
 
-sim::SimConfig
-simConfigFor(const RunContext &rc)
-{
-    sim::SimConfig cfg;
-    cfg.seed = rc.seed;
-    cfg.policy = rc.policy;
-    return cfg;
-}
-
 /**
  * Metrics of one elastic run, in reporting order: the open-loop
  * tail cut, the elasticity aggregates, then per-wave degradation
@@ -55,18 +46,7 @@ simConfigFor(const RunContext &rc)
 void
 setElasticMetrics(Json &m, const sim::RunResult &r)
 {
-    m.set("saturated", r.saturated);
-    m.set("offered_load", r.offeredLoad);
-    m.set("realized_load", r.realizedLoad);
-    m.set("accepted_load", r.acceptedLoad);
-    m.set("avg_latency", r.avgTotalLatency);
-    m.set("p50", static_cast<std::int64_t>(r.tailTotal.p50));
-    m.set("p95", static_cast<std::int64_t>(r.tailTotal.p95));
-    m.set("p99", static_cast<std::int64_t>(r.tailTotal.p99));
-    m.set("p999", static_cast<std::int64_t>(r.tailTotal.p999));
-    m.set("max", static_cast<std::int64_t>(r.tailTotal.max));
-    m.set("net_p99", static_cast<std::int64_t>(r.tailNetwork.p99));
-    m.set("measured_packets", r.measuredPackets);
+    setTailMetrics(m, r);
 
     std::int64_t gated = 0, ungated = 0, refused = 0, forced = 0;
     std::int64_t holes = 0;

@@ -367,7 +367,7 @@ microSimulatorSpec()
                     resetPeakRss();
                     const auto topo = topos::cachedTopology(
                         topos::TopoKind::SF, 1024, rc.baseSeed);
-                    sim::SimConfig cfg;
+                    sim::SimConfig cfg = simConfigFor(rc);
                     cfg.seed = deriveSeed("micro_simulator",
                                           point_id, rc.baseSeed);
                     const auto phases =
@@ -429,7 +429,7 @@ microSimulatorSpec()
                             point_id](const RunContext &rc) -> Json {
                     const auto topo = topos::cachedTopology(
                         topos::TopoKind::SF, 1024, rc.baseSeed);
-                    sim::SimConfig cfg;
+                    sim::SimConfig cfg = simConfigFor(rc);
                     cfg.seed = deriveSeed("micro_simulator",
                                           point_id, rc.baseSeed);
                     cfg.profilePhases = true;

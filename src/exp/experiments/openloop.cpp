@@ -28,36 +28,6 @@ namespace sf::exp {
 
 namespace {
 
-sim::SimConfig
-simConfigFor(const RunContext &rc)
-{
-    sim::SimConfig cfg;
-    cfg.seed = rc.seed;
-    cfg.policy = rc.policy;
-    return cfg;
-}
-
-/** Percentile metrics of one open-loop run, in reporting order.
- *  The percentile keys (p50/p95/p99/p999/max) are the ones
- *  `sfx diff` exact-compares regardless of tolerance. */
-void
-setTailMetrics(Json &m, const sim::RunResult &r)
-{
-    m.set("saturated", r.saturated);
-    m.set("offered_load", r.offeredLoad);
-    m.set("realized_load", r.realizedLoad);
-    m.set("accepted_load", r.acceptedLoad);
-    m.set("avg_latency", r.avgTotalLatency);
-    m.set("p50", static_cast<std::int64_t>(r.tailTotal.p50));
-    m.set("p95", static_cast<std::int64_t>(r.tailTotal.p95));
-    m.set("p99", static_cast<std::int64_t>(r.tailTotal.p99));
-    m.set("p999", static_cast<std::int64_t>(r.tailTotal.p999));
-    m.set("max", static_cast<std::int64_t>(r.tailTotal.max));
-    m.set("net_p99",
-          static_cast<std::int64_t>(r.tailNetwork.p99));
-    m.set("measured_packets", r.measuredPackets);
-}
-
 ExperimentSpec
 hockeyStickSpec()
 {
@@ -203,7 +173,7 @@ microOpenLoopSpec()
                                const RunContext &rc) -> Json {
                     const auto topo = topos::cachedTopology(
                         topos::TopoKind::SF, 1024, rc.baseSeed);
-                    sim::SimConfig cfg;
+                    sim::SimConfig cfg = simConfigFor(rc);
                     // Seeded per load point so every process row
                     // of a point is comparable run to run.
                     cfg.seed = deriveSeed("micro_openloop",

@@ -99,8 +99,8 @@ routingBakeoffSpec()
                             const auto topo =
                                 topos::cachedTopology(
                                     kind, n, rc.baseSeed);
-                            sim::SimConfig cfg;
-                            cfg.seed = rc.seed;
+                            sim::SimConfig cfg =
+                                simConfigFor(rc);
                             // The cell's policy, not the global
                             // --policy knob: the bake-off races
                             // policies against each other inside

@@ -24,18 +24,6 @@ namespace sf::exp {
 
 namespace {
 
-sim::SimConfig
-simConfigFor(const RunContext &rc)
-{
-    sim::SimConfig cfg;
-    // Traffic randomness follows the per-run derived seed;
-    // topology construction (below) follows the base seed so every
-    // run in a sweep simulates the same generated network.
-    cfg.seed = rc.seed;
-    cfg.policy = rc.policy;
-    return cfg;
-}
-
 ExperimentSpec
 fig10Spec()
 {

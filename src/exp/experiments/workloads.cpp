@@ -66,8 +66,8 @@ fig12Spec()
                         wl::sharedTrace(w, rc.baseSeed, ops);
                     const auto topo = topos::cachedTopology(
                         kind, n, rc.baseSeed);
-                    sim::SimConfig sim_cfg;
-                    sim_cfg.seed = rc.seed;
+                    const sim::SimConfig sim_cfg =
+                        simConfigFor(rc);
                     wl::ReplayConfig cfg;
                     const auto r = wl::replayTrace(
                         *trace, *topo, sim_cfg, cfg);
@@ -141,8 +141,8 @@ fig09bSpec()
                         // topology, so it must not come from the
                         // shared cache.
                         core::StringFigure topo(params);
-                        sim::SimConfig sim_cfg;
-                        sim_cfg.seed = rc.seed;
+                        const sim::SimConfig sim_cfg =
+                            simConfigFor(rc);
                         wl::ReplayConfig cfg;
                         cfg.energy.idlePjPerNodeCycle = idle_pj;
                         const std::size_t target =

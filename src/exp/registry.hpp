@@ -1,8 +1,8 @@
 /**
  * @file
  * The experiment registry: every paper figure / table / ablation
- * registers one ExperimentSpec under a stable name; the sfx CLI and
- * the bench wrappers resolve names or globs against it.
+ * registers one ExperimentSpec under a stable name; the sfx CLI
+ * resolves names or globs against it.
  */
 
 #pragma once

@@ -100,13 +100,13 @@ struct RunContext {
     int wavefront = 0;
     /**
      * Routing policy (`sfx --policy`, sim::SimConfig::policy):
-     * bodies that run the flit simulator should copy this into
-     * their SimConfig — UNLESS the policy is part of their own run
-     * grid (the routing_bakeoff family), in which case the cell
-     * wins. This is NOT an execution knob: non-greedy policies
-     * change simulated events, so the driver records it in
-     * checkpoint metadata and reports, and refuses to override it
-     * on resume.
+     * bodies that run the flit simulator start from
+     * simConfigFor(rc) (exp/experiments/common.hpp), which copies
+     * it — UNLESS the policy is part of their own run grid (the
+     * routing_bakeoff family), in which case the cell wins. This
+     * is NOT an execution knob: non-greedy policies change
+     * simulated events, so the driver records it in checkpoint
+     * metadata and reports, and refuses to override it on resume.
      */
     core::RoutingPolicyKind policy =
         core::RoutingPolicyKind::Greedy;

@@ -41,8 +41,8 @@ struct EnergyParams {
      * cycle, in pJ. Not in Table I: the paper's power-management
      * study implicitly charges powered-on routers something that
      * gating recovers. This knob makes Fig 9(b) reproducible;
-     * bench/fig09b prints results for several values including 0
-     * (see DESIGN.md, substitutions).
+     * `sfx run fig09b_power_gating_edp` reports several values,
+     * including 0 (see DESIGN.md, substitutions).
      */
     double idlePjPerNodeCycle = 10.0;
 };

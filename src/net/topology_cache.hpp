@@ -1,6 +1,6 @@
 /**
  * @file
- * Keyed, thread-safe cache of shared immutable topologies.
+ * Keyed cache of shared immutable topologies.
  *
  * Experiment sweeps evaluate hundreds of (topology, n, seed, rate)
  * grid cells, and most cells of a sweep route over the *same*
@@ -8,32 +8,18 @@
  * mutating experiments construct private instances and never go
  * through this cache), so one build can serve every concurrent run:
  * the cache stores `std::shared_ptr<const Topology>` under a
- * (kind, nodes, seed, variant) key.
- *
- * Concurrency contract:
- *  - getOrBuild() is safe from any number of threads.
- *  - Concurrent requests for the same key trigger exactly one
- *    builder invocation; the other requesters block on the shared
- *    future and receive the same instance (counted as hits).
- *  - A builder that throws propagates to every waiter of that
- *    round and the entry is dropped, so a later request retries.
- *
- * Eviction is LRU with a bounded entry count. Evicting an entry
- * only drops the cache's reference: runs still holding the
- * shared_ptr keep their topology alive.
+ * (kind, nodes, seed, variant) key, with SharedMemo's build-once
+ * concurrency contract.
  */
 
 #pragma once
 
+#include <compare>
 #include <cstdint>
-#include <functional>
-#include <future>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "net/shared_memo.hpp"
 #include "net/topology.hpp"
 
 namespace sf::net {
@@ -47,80 +33,11 @@ struct TopologyKey {
     /** Extra construction parameters ("odm=2"); empty if none. */
     std::string variant;
 
-    bool operator==(const TopologyKey &other) const = default;
+    auto operator<=>(const TopologyKey &other) const = default;
 };
 
-/** FNV-1a over the key fields. */
-struct TopologyKeyHash {
-    std::size_t operator()(const TopologyKey &key) const;
-};
-
-/** Thread-safe LRU cache of immutable topologies. */
-class TopologyCache {
-  public:
-    using Builder =
-        std::function<std::shared_ptr<const Topology>()>;
-
-    /** Default capacity: every design/scale of a full sweep. */
-    static constexpr std::size_t kDefaultCapacity = 128;
-
-    explicit TopologyCache(std::size_t capacity = kDefaultCapacity);
-
-    /**
-     * Return the cached topology for @p key, invoking @p build at
-     * most once per resident key. Blocks (without holding the cache
-     * lock) while another thread builds the same key.
-     */
-    std::shared_ptr<const Topology>
-    getOrBuild(const TopologyKey &key, const Builder &build);
-
-    /** Hit/miss/eviction counters (monotonic; clear() keeps them). */
-    struct Stats {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-    };
-    Stats stats() const;
-
-    /** Resident entry count (includes in-flight builds). */
-    std::size_t size() const;
-
-    std::size_t capacity() const;
-
-    /**
-     * Change the capacity; shrinking evicts least-recently-used
-     * entries immediately.
-     */
-    void setCapacity(std::size_t capacity);
-
-    /** Drop every resident entry (counters are preserved). */
-    void clear();
-
-  private:
-    using Future =
-        std::shared_future<std::shared_ptr<const Topology>>;
-
-    struct Entry {
-        Future future;
-        /** Position in lru_ (most recent at the front). */
-        std::list<TopologyKey>::iterator lruPos;
-        /** Insertion id: lets a failed build drop exactly its own
-         *  entry even if the key was evicted and re-inserted. */
-        std::uint64_t generation = 0;
-    };
-
-    /** Move @p it to the front of the LRU list. Lock held. */
-    void touch(Entry &entry, const TopologyKey &key);
-
-    /** Evict LRU entries down to @p limit. Lock held. */
-    void evictDownTo(std::size_t limit);
-
-    mutable std::mutex mutex_;
-    std::unordered_map<TopologyKey, Entry, TopologyKeyHash> map_;
-    std::list<TopologyKey> lru_;
-    std::size_t capacity_;
-    std::uint64_t generation_ = 0;
-    Stats stats_;
-};
+/** Thread-safe build-once cache of immutable topologies. */
+using TopologyCache =
+    SharedMemo<TopologyKey, std::shared_ptr<const Topology>>;
 
 } // namespace sf::net

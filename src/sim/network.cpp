@@ -123,7 +123,7 @@ std::uint64_t
 NetworkModel::inFlight() const
 {
     return stats_.injectedPackets - stats_.deliveredPackets -
-           dropped_;
+           stats_.droppedUnroutable;
 }
 
 bool
@@ -427,7 +427,6 @@ NetworkModel::arbitrateNode(NodeId node, Cycle now)
             adjustReserved(vc, -p.flits);
             vc.fifo.pop(pool_);
             vc.headSince = now;
-            ++dropped_;
             ++stats_.droppedUnroutable;
             lastProgress_ = now;
             if (onDrop_)
@@ -455,7 +454,6 @@ NetworkModel::arbitrateNode(NodeId node, Cycle now)
         const std::uint32_t slot = source.head;
         Packet &p = pool_.at(slot);
         if (!p.routed && !computeRoute(node, p, now)) {
-            ++dropped_;
             ++stats_.droppedUnroutable;
             source.pop(pool_);
             --sourceBacklog_;
@@ -629,8 +627,6 @@ NetworkModel::recordDelivery(const Packet &p, Cycle delivered_at)
     if (p.measured) {
         ++stats_.measuredPackets;
         stats_.totalLatency.record(delivered_at - p.createdAt);
-        stats_.networkLatency.record(delivered_at -
-                                     p.enteredNetworkAt);
         stats_.totalLatencyLog.record(delivered_at - p.createdAt);
         stats_.networkLatencyLog.record(delivered_at -
                                         p.enteredNetworkAt);

@@ -148,7 +148,6 @@ class NetworkModel
 
     /** Statistics. */
     const NetStats &stats() const { return stats_; }
-    NetStats &stats() { return stats_; }
 
     void setDeliverHandler(DeliverHandler handler)
     {
@@ -355,7 +354,6 @@ class NetworkModel
     NetStats stats_;
     Rng rng_;
     std::uint64_t nextPacketId_ = 1;
-    std::uint64_t dropped_ = 0;
     Cycle lastProgress_ = 0;
 };
 

@@ -43,7 +43,7 @@ void
 fillMeasuredStats(RunResult &result, const NetStats &stats)
 {
     result.avgTotalLatency = stats.totalLatency.mean();
-    result.avgNetworkLatency = stats.networkLatency.mean();
+    result.avgNetworkLatency = stats.networkLatencyLog.mean();
     result.p50Latency = stats.totalLatency.percentile(0.50);
     result.p99Latency = stats.totalLatency.percentile(0.99);
     result.avgHops = stats.avgHops();
@@ -483,19 +483,6 @@ findSaturationRate(const net::Topology &topo, TrafficPattern pattern,
             lo = mid;
     }
     return lo;
-}
-
-std::vector<SweepPoint>
-latencySweep(const net::Topology &topo, TrafficPattern pattern,
-             const std::vector<double> &rates, const SimConfig &cfg,
-             const RunPhases &phases)
-{
-    std::vector<SweepPoint> points;
-    points.reserve(rates.size());
-    for (const double rate : rates)
-        points.push_back(SweepPoint{
-            rate, runSynthetic(topo, pattern, rate, cfg, phases)});
-    return points;
 }
 
 } // namespace sf::sim

@@ -242,16 +242,4 @@ double findSaturationRate(const net::Topology &topo,
                           const RunPhases &phases = {},
                           double tolerance = 0.07);
 
-/** Latency-vs-rate curve point. */
-struct SweepPoint {
-    double rate;
-    RunResult result;
-};
-
-/** Evaluate a list of injection rates (Fig 11 curves). */
-std::vector<SweepPoint>
-latencySweep(const net::Topology &topo, TrafficPattern pattern,
-             const std::vector<double> &rates, const SimConfig &cfg,
-             const RunPhases &phases = {});
-
 } // namespace sf::sim

@@ -287,11 +287,11 @@ struct NetStats {
     std::uint64_t measuredHops = 0;
     /** Flit-hops of measured packets (energy: bits x hops). */
     std::uint64_t measuredFlitHops = 0;
-    LatencyHistogram totalLatency;    ///< create -> eject
-    LatencyHistogram networkLatency;  ///< network entry -> eject
-    /** HDR-style log-bucket twins of the two linear histograms:
-     *  full dynamic range (tail percentiles stay meaningful under
-     *  overload) at fixed size, recorded on the same measure path. */
+    LatencyHistogram totalLatency;  ///< create -> eject
+    /** HDR-style log-bucket histograms: full dynamic range (tail
+     *  percentiles stay meaningful under overload) at fixed size,
+     *  recorded on the same measure path. The network-latency one
+     *  (network entry -> eject) also supplies its exact mean. */
     LogHistogram totalLatencyLog;
     LogHistogram networkLatencyLog;
 

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "core/string_figure.hpp"
 #include "net/bisection.hpp"
+#include "net/shared_memo.hpp"
 #include "topos/flattened_butterfly.hpp"
 #include "topos/jellyfish.hpp"
 #include "topos/mesh.hpp"
@@ -194,45 +194,41 @@ cachedTopology(const core::SFParams &params)
 int
 matchOdmMultiplier(std::size_t n, std::uint64_t seed)
 {
-    // Cache: the max-flow evaluation is not free at 1296 nodes.
+    // Memoized: the max-flow evaluation is not free at 1296 nodes.
     // Keyed by (n, seed) because the String Figure side of the
-    // ratio is built from the seed. Guarded — concurrent scheduler
-    // threads resolve ODM multipliers too.
-    static std::mutex mutex;
-    static std::map<std::pair<std::size_t, std::uint64_t>, int> cache;
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto key = std::make_pair(n, seed);
-    const auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
+    // ratio is built from the seed.
+    static net::SharedMemo<std::pair<std::size_t, std::uint64_t>, int>
+        memo;
+    return memo.getOrBuild({n, seed}, [n, seed] {
+        core::SFParams params;
+        params.numNodes = n;
+        params.routerPorts = randomTopologyPorts(n);
+        params.seed = seed;
+        const core::StringFigure sf_net(params);
+        Rng rng_sf(seed * 7 + 1);
+        const auto sf_bw =
+            net::minBisectionBandwidth(sf_net.graph(), rng_sf, 10);
 
-    core::SFParams params;
-    params.numNodes = n;
-    params.routerPorts = randomTopologyPorts(n);
-    params.seed = seed;
-    const core::StringFigure sf_net(params);
-    Rng rng_sf(seed * 7 + 1);
-    const auto sf_bw =
-        net::minBisectionBandwidth(sf_net.graph(), rng_sf, 10);
+        const auto [rows, cols] = MeshTopology::gridShape(n);
+        const MeshTopology mesh(rows, cols, 1);
+        Rng rng_dm(seed * 7 + 2);
+        const auto dm_bw =
+            net::minBisectionBandwidth(mesh.graph(), rng_dm, 10);
 
-    const auto [rows, cols] = MeshTopology::gridShape(n);
-    const MeshTopology mesh(rows, cols, 1);
-    Rng rng_dm(seed * 7 + 2);
-    const auto dm_bw =
-        net::minBisectionBandwidth(mesh.graph(), rng_dm, 10);
-
-    // A mesh's O(sqrt N) bisection can only match a random graph's
-    // O(N) bisection with an O(sqrt N) link multiplier — dozens of
-    // parallel wires at 1024 nodes, which no real router carries.
-    // Cap the optimisation at 4x (the paper never states ODM's
-    // multiplier; see DESIGN.md interpretation notes) and let the
-    // bisection bench print the uncapped ratio.
-    const int mult = std::max(
-        1, static_cast<int>(std::lround(
-               static_cast<double>(sf_bw) /
-               static_cast<double>(std::max<std::uint64_t>(
-                   dm_bw, 1)))));
-    return cache[key] = std::min(mult, 4);
+        // A mesh's O(sqrt N) bisection can only match a random
+        // graph's O(N) bisection with an O(sqrt N) link multiplier
+        // — dozens of parallel wires at 1024 nodes, which no real
+        // router carries. Cap the optimisation at 4x (the paper
+        // never states ODM's multiplier; see DESIGN.md
+        // interpretation notes) and let the bisection_bandwidth
+        // experiment print the uncapped ratio.
+        const int mult = std::max(
+            1, static_cast<int>(std::lround(
+                   static_cast<double>(sf_bw) /
+                   static_cast<double>(std::max<std::uint64_t>(
+                       dm_bw, 1)))));
+        return std::min(mult, 4);
+    });
 }
 
 } // namespace sf::topos

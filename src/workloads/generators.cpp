@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <compare>
 #include <memory>
-#include <mutex>
-#include <tuple>
 
 #include "net/rng.hpp"
+#include "net/shared_memo.hpp"
 #include "workloads/cache_model.hpp"
 
 namespace sf::wl {
@@ -445,34 +444,18 @@ sharedTrace(Workload w, std::uint64_t seed, std::size_t num_ops,
         std::uint64_t seed;
         std::size_t numOps;
         std::size_t warmupOps;
-        bool operator<(const Key &o) const
-        {
-            return std::tie(w, seed, numOps, warmupOps) <
-                   std::tie(o.w, o.seed, o.numOps, o.warmupOps);
-        }
+        auto operator<=>(const Key &) const = default;
     };
     // Strong entries: a trace is a few MB and the key space of one
     // process (workloads x one or two op counts) stays tiny, while
     // a run that releases its reference must not evict the trace
     // the next sequential run wants.
-    static std::mutex mutex;
-    static std::map<Key, std::shared_ptr<const Trace>> cache;
-
-    const Key key{w, seed, num_ops, warmup_ops};
-    {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (const auto it = cache.find(key); it != cache.end())
-            return it->second;
-    }
-    // Generate outside the lock: traces take seconds to build, and
-    // different keys should not serialise each other. Concurrent
-    // first requests for the same key may generate twice; both
-    // results are identical and the first insert wins.
-    auto made = std::make_shared<const Trace>(
-        generateTrace(w, seed, num_ops, warmup_ops));
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto [it, inserted] = cache.emplace(key, std::move(made));
-    return it->second;
+    static net::SharedMemo<Key, std::shared_ptr<const Trace>> memo;
+    return memo.getOrBuild(
+        Key{w, seed, num_ops, warmup_ops}, [&] {
+            return std::make_shared<const Trace>(
+                generateTrace(w, seed, num_ops, warmup_ops));
+        });
 }
 
 } // namespace sf::wl

@@ -65,8 +65,11 @@ Trace generateTrace(Workload w, std::uint64_t seed,
  * Memoised, thread-safe variant of generateTrace: experiment sweeps
  * replay the identical trace against every network design, and
  * regenerating it per cell (700K warmup ops through the cache
- * hierarchy each time) dominated their runtime. The shared pointer
- * keeps entries immutable and safe to hand to concurrent runs.
+ * hierarchy each time) dominated their runtime. Each key is
+ * generated once per process (net::SharedMemo): concurrent first
+ * requests wait for that one generation instead of repeating it.
+ * The shared pointer keeps entries immutable and safe to hand to
+ * concurrent runs.
  */
 std::shared_ptr<const Trace>
 sharedTrace(Workload w, std::uint64_t seed,

@@ -858,4 +858,47 @@ TEST(SfxCli, RejectsMalformedSeed)
     }
 }
 
+/** `--policy` reaches the trace-replay bodies: a replayed trace's
+ *  average hop count under table_oracle (shortest paths) differs
+ *  from the greedy default, for the shared-topology fig12 cells and
+ *  the private gated topologies of fig09b alike. */
+TEST(SfxCli, PolicyReachesTraceReplays)
+{
+    TempDir work;
+    const auto avg_hops = [&](const char *experiment,
+                              const char *run,
+                              const char *policy) {
+        const std::string out = work.file("report.json");
+        std::vector<std::string> args{"sfx", "run", experiment,
+                                      "--quick", "--quiet",
+                                      "--jobs", "1", "--runs", run,
+                                      "--out", out};
+        if (policy) {
+            args.emplace_back("--policy");
+            args.emplace_back(policy);
+        }
+        EXPECT_EQ(callSfx(args), 0) << experiment;
+        const Json report = Json::parse(readFile(out));
+        return report.at("experiments")
+            .asArray()
+            .at(0)
+            .at("runs")
+            .asArray()
+            .at(0)
+            .at("metrics")
+            .at("avg_hops")
+            .asDouble();
+    };
+    for (const auto &[experiment, run] :
+         {std::pair{"fig12_workloads", "redis/SF"},
+          std::pair{"fig09b_power_gating_edp",
+                    "idle10/redis/gate10%"}}) {
+        const double greedy = avg_hops(experiment, run, nullptr);
+        const double oracle =
+            avg_hops(experiment, run, "table_oracle");
+        EXPECT_GT(greedy, 0.0) << experiment;
+        EXPECT_NE(greedy, oracle) << experiment;
+    }
+}
+
 } // namespace

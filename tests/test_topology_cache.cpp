@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the shared-immutable-topology ownership model: the
- * net::TopologyCache hit/miss/eviction semantics, once-only
- * construction under same-key concurrency, and the factory's
- * cachedTopology() sharing behaviour.
+ * net::SharedMemo hit/miss/clear semantics behind
+ * net::TopologyCache, once-only construction under same-key
+ * concurrency, and the factory's cachedTopology() sharing
+ * behaviour.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -49,7 +52,7 @@ key(const std::string &kind, std::size_t n, std::uint64_t seed,
 
 TEST(TopologyCache, HitAndMissCounting)
 {
-    TopologyCache cache(8);
+    TopologyCache cache;
     int builds = 0;
     const auto build = [&] {
         ++builds;
@@ -68,50 +71,23 @@ TEST(TopologyCache, HitAndMissCounting)
     cache.getOrBuild(key("SF", 8, 1, "v"), build);
     EXPECT_EQ(builds, 4);
     EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-TEST(TopologyCache, LruEviction)
-{
-    TopologyCache cache(2);
-    int builds = 0;
-    const auto build = [&] {
-        ++builds;
-        return tinySf(1);
-    };
-    cache.getOrBuild(key("SF", 8, 1), build); // {1}
-    cache.getOrBuild(key("SF", 8, 2), build); // {1, 2}
-    EXPECT_EQ(cache.size(), 2u);
-    // Touch 1 so 2 becomes the LRU victim.
-    cache.getOrBuild(key("SF", 8, 1), build);
-    cache.getOrBuild(key("SF", 8, 3), build); // evicts 2
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(builds, 3);
-    // 1 survived; 2 was evicted and rebuilds.
-    cache.getOrBuild(key("SF", 8, 1), build);
-    EXPECT_EQ(builds, 3);
-    cache.getOrBuild(key("SF", 8, 2), build);
-    EXPECT_EQ(builds, 4);
-    EXPECT_EQ(cache.stats().evictions, 2u);
-}
-
-TEST(TopologyCache, ShrinkingCapacityEvicts)
-{
-    TopologyCache cache(4);
-    const auto build = [] { return tinySf(1); };
-    for (std::uint64_t s = 1; s <= 4; ++s)
-        cache.getOrBuild(key("SF", 8, s), build);
     EXPECT_EQ(cache.size(), 4u);
-    cache.setCapacity(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 3u);
+
+    // clear() empties the memo but keeps the counters, and the
+    // next request rebuilds.
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 4u);
+    const auto rebuilt = cache.getOrBuild(key("SF", 8, 1), build);
+    EXPECT_EQ(builds, 5);
+    EXPECT_NE(rebuilt.get(), first.get());
+    EXPECT_EQ(cache.stats().misses, 5u);
 }
 
 TEST(TopologyCache, ConcurrentSameKeyBuildsOnce)
 {
-    TopologyCache cache(8);
+    TopologyCache cache;
     std::atomic<int> builds{0};
     const auto build = [&] {
         ++builds;
@@ -142,7 +118,7 @@ TEST(TopologyCache, ConcurrentSameKeyBuildsOnce)
 
 TEST(TopologyCache, FailedBuildRetries)
 {
-    TopologyCache cache(8);
+    TopologyCache cache;
     int calls = 0;
     const auto failing = [&]()
         -> std::shared_ptr<const net::Topology> {
@@ -157,6 +133,73 @@ TEST(TopologyCache, FailedBuildRetries)
                                      [] { return tinySf(1); });
     EXPECT_NE(ok, nullptr);
     EXPECT_EQ(calls, 1);
+}
+
+TEST(TopologyCache, FailedBuildReachesEveryWaiter)
+{
+    TopologyCache cache;
+    std::atomic<int> builds{0};
+    const auto failing = [&]()
+        -> std::shared_ptr<const net::Topology> {
+        ++builds;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(50));
+        throw std::runtime_error("boom");
+    };
+    constexpr int kThreads = 8;
+    std::atomic<int> thrown{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&] {
+            try {
+                cache.getOrBuild(key("SF", 8, 9), failing);
+            } catch (const std::runtime_error &) {
+                ++thrown;
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    // Requests that arrive after the round failed start a new
+    // round, so more than one build may run, but every request
+    // sees a failure and none leaves an entry behind.
+    EXPECT_GE(builds.load(), 1);
+    EXPECT_EQ(thrown.load(), kThreads);
+    EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(TopologyCache, FailedBuildSparesNewerRound)
+{
+    // clear() races an in-flight build that then fails: the failure
+    // must drop only its own entry, not the newer round's.
+    TopologyCache cache;
+    std::promise<void> release;
+    std::shared_future<void> go = release.get_future().share();
+    std::promise<void> started;
+    std::thread first([&] {
+        EXPECT_THROW(
+            cache.getOrBuild(
+                key("SF", 8, 1),
+                [&]() -> std::shared_ptr<const net::Topology> {
+                    started.set_value();
+                    go.wait();
+                    throw std::runtime_error("boom");
+                }),
+            std::runtime_error);
+    });
+    started.get_future().wait();
+    cache.clear();
+    const auto kept =
+        cache.getOrBuild(key("SF", 8, 1), [] { return tinySf(1); });
+    release.set_value();
+    first.join();
+    EXPECT_EQ(cache.size(), 1u);
+    int builds = 0;
+    const auto again = cache.getOrBuild(key("SF", 8, 1), [&] {
+        ++builds;
+        return tinySf(1);
+    });
+    EXPECT_EQ(builds, 0);
+    EXPECT_EQ(again.get(), kept.get());
 }
 
 TEST(Factory, CachedTopologySharesInstances)

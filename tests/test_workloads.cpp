@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "core/string_figure.hpp"
 #include "topos/mesh.hpp"
@@ -100,6 +102,36 @@ TEST(Generators, Deterministic)
         EXPECT_EQ(a.ops[i].addr, b.ops[i].addr);
         EXPECT_EQ(a.ops[i].isWrite, b.ops[i].isWrite);
     }
+}
+
+TEST(SharedTrace, OneInstancePerKey)
+{
+    // Concurrent first requests for one key share one generation.
+    constexpr int kThreads = 8;
+    std::vector<std::shared_ptr<const Trace>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&got, t] {
+            got[t] = sharedTrace(Workload::Redis, 7, 1000, 0);
+        });
+    for (auto &t : threads)
+        t.join();
+    ASSERT_NE(got[0], nullptr);
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(got[t].get(), got[0].get());
+
+    const Trace fresh = generateTrace(Workload::Redis, 7, 1000, 0);
+    ASSERT_EQ(got[0]->ops.size(), fresh.ops.size());
+    for (std::size_t i = 0; i < fresh.ops.size(); ++i) {
+        EXPECT_EQ(got[0]->ops[i].instrId, fresh.ops[i].instrId);
+        EXPECT_EQ(got[0]->ops[i].addr, fresh.ops[i].addr);
+        EXPECT_EQ(got[0]->ops[i].isWrite, fresh.ops[i].isWrite);
+    }
+
+    // Every key field participates in identity.
+    const auto other = sharedTrace(Workload::Redis, 7, 500, 0);
+    EXPECT_NE(other.get(), got[0].get());
+    EXPECT_EQ(other->ops.size(), 500u);
 }
 
 TEST(Generators, WorkloadsHaveDistinctCharacter)
