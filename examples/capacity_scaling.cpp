@@ -11,6 +11,7 @@
 
 #include "core/string_figure.hpp"
 #include "net/paths.hpp"
+#include "topos/factory.hpp"
 #include "topos/mesh.hpp"
 
 int
@@ -24,10 +25,7 @@ main()
     // 8 GB per node, so these are 136 GB ... 10.1 TB systems.
     for (const std::size_t n :
          {17u, 43u, 61u, 113u, 200u, 331u, 512u, 777u, 1296u}) {
-        core::SFParams params;
-        params.numNodes = n;
-        params.routerPorts = n <= 128 ? 4 : 8;
-        params.seed = 7;
+        const core::SFParams params = topos::defaultSfParams(n, 7);
         const core::StringFigure network(params);
         const auto stats = net::allPairsStats(network.graph());
         const bool mesh_ok =

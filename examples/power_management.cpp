@@ -1,9 +1,9 @@
 /**
  * @file
- * Power management: run an in-memory workload while the power
- * manager dynamically shrinks the memory network, then report
- * throughput, energy, and EDP against the full-scale run — the
- * paper's Fig 9(b) scenario at example scale.
+ * Power management: run an in-memory workload on a memory network
+ * shrunk by power gating before the run, then report throughput,
+ * energy, and EDP against the full-scale run — the paper's Fig 9(b)
+ * scenario at example scale.
  */
 
 #include <cstdio>

@@ -29,16 +29,6 @@ namespace sf::exp {
 
 namespace {
 
-core::SFParams
-sfParams(std::size_t n, std::uint64_t seed)
-{
-    core::SFParams params;
-    params.numNodes = n;
-    params.routerPorts = n <= 128 ? 4 : 8;
-    params.seed = seed;
-    return params;
-}
-
 ExperimentSpec
 adaptiveSpec()
 {
@@ -69,7 +59,7 @@ adaptiveSpec()
                     // Adaptivity is a simulator knob, so both arms
                     // share the same immutable topology.
                     const auto topo = topos::cachedTopology(
-                        sfParams(n, rc.baseSeed));
+                        topos::defaultSfParams(n, rc.baseSeed));
                     sim::SimConfig cfg = simConfigFor(rc);
                     cfg.adaptive = adaptive;
                     Json m = Json::object();
@@ -110,7 +100,8 @@ balanceSpec()
             run.params.set("coords", mname);
             run.params.set("nodes", n);
             run.body = [mode, n](const RunContext &rc) -> Json {
-                core::SFParams params = sfParams(n, rc.baseSeed);
+                core::SFParams params =
+                    topos::defaultSfParams(n, rc.baseSeed);
                 params.coordMode = mode;
                 const auto topo = topos::cachedTopology(params);
                 const auto stats =
@@ -161,7 +152,7 @@ twoHopSpec()
                             samples](const RunContext &rc)
                     -> Json {
                     core::SFParams params =
-                        sfParams(n, rc.baseSeed);
+                        topos::defaultSfParams(n, rc.baseSeed);
                     params.twoHopTable = two_hop;
                     const auto shared =
                         topos::cachedTopology(params);
@@ -217,7 +208,7 @@ coordBitsSpec()
             run.body = [bits,
                         samples](const RunContext &rc) -> Json {
                 core::SFParams params =
-                    sfParams(256, rc.baseSeed);
+                    topos::defaultSfParams(256, rc.baseSeed);
                 params.routerPorts = 8;
                 params.coordBits = bits;
                 // Private instance: the metric below reads the
@@ -271,7 +262,7 @@ unidirSpec()
                 run.body = [n, mode](const RunContext &rc)
                     -> Json {
                     core::SFParams params =
-                        sfParams(n, rc.baseSeed);
+                        topos::defaultSfParams(n, rc.baseSeed);
                     params.linkMode = mode;
                     const auto topo =
                         topos::cachedTopology(params);

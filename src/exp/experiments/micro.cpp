@@ -33,16 +33,6 @@ namespace sf::exp {
 
 namespace {
 
-core::SFParams
-paramsFor(std::size_t n, std::uint64_t seed)
-{
-    core::SFParams params;
-    params.numNodes = n;
-    params.routerPorts = n <= 128 ? 4 : 8;
-    params.seed = seed;
-    return params;
-}
-
 /**
  * Run @p op in a timing loop for ~@p budget_ms and return average
  * nanoseconds per iteration (includes a short warmup batch).
@@ -144,7 +134,7 @@ microSpec()
                 run.body = [n, widen, budget_ms, reps](
                                const RunContext &rc) -> Json {
                     const core::StringFigure topo(
-                        paramsFor(n, rc.baseSeed));
+                        topos::defaultSfParams(n, rc.baseSeed));
                     Rng rng(rc.seed);
                     LinkId out[net::kMaxRouteCandidates];
                     const auto stats = timedReps(
@@ -182,7 +172,7 @@ microSpec()
             run.body = [n, budget_ms,
                         reps](const RunContext &rc) -> Json {
                 const core::StringFigure topo(
-                    paramsFor(n, rc.baseSeed));
+                    topos::defaultSfParams(n, rc.baseSeed));
                 Rng rng(rc.seed);
                 long long sink = 0;
                 const auto stats = timedReps(
@@ -219,7 +209,7 @@ microSpec()
                         // construction, routing tables, and the
                         // reconfiguration engine.
                         const auto topo = core::buildTopology(
-                            paramsFor(n, rc.baseSeed));
+                            topos::defaultSfParams(n, rc.baseSeed));
                         links = topo->graph().numLinks();
                     },
                     reps,
@@ -245,7 +235,7 @@ microSpec()
                         reps](const RunContext &rc) -> Json {
                 // Private instance: gating mutates the topology.
                 core::StringFigure topo(
-                    paramsFor(n, rc.baseSeed));
+                    topos::defaultSfParams(n, rc.baseSeed));
                 Rng rng(rc.seed);
                 const auto stats = timedReps(
                     [&] {

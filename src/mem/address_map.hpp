@@ -6,7 +6,7 @@
  * address (paper Section V, Workloads) at page granularity. When the
  * network is down-scaled, the map rebuilds over the surviving nodes
  * (capacity shrinks; resident data is assumed migrated — see
- * DESIGN.md substitutions).
+ * docs/substitutions.md).
  */
 
 #pragma once

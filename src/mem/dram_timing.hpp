@@ -12,10 +12,10 @@ namespace sf::mem {
 
 /** Timing of the die-stacked DRAM in each memory node. */
 struct DramTiming {
-    double tRcdNs = 12.0;  ///< activate -> column command
-    double tClNs = 6.0;    ///< column command -> data
-    double tRpNs = 14.0;   ///< precharge
-    double tRasNs = 33.0;  ///< activate -> precharge minimum
+    static constexpr double kRcdNs = 12.0;  ///< activate -> column command
+    static constexpr double kClNs = 6.0;    ///< column command -> data
+    static constexpr double kRpNs = 14.0;   ///< precharge
+    static constexpr double kRasNs = 33.0;  ///< activate -> precharge minimum
 
     /** Convert nanoseconds to (ceil) network cycles. */
     static Cycle
@@ -26,23 +26,24 @@ struct DramTiming {
             sim::SimConfig::kNsPerCycle);
     }
 
-    Cycle rcd() const { return toCycles(tRcdNs); }
-    Cycle cl() const { return toCycles(tClNs); }
-    Cycle rp() const { return toCycles(tRpNs); }
-    Cycle ras() const { return toCycles(tRasNs); }
+    static Cycle rcd() { return toCycles(kRcdNs); }
+    static Cycle cl() { return toCycles(kClNs); }
+    static Cycle rp() { return toCycles(kRpNs); }
+    static Cycle ras() { return toCycles(kRasNs); }
 };
 
-/** Energy constants (paper Table I). */
+/** Energy constants (paper Table I) and the idle term. */
 struct EnergyParams {
-    double networkPjPerBitHop = 5.0;   ///< 5 pJ/bit/hop
-    double dramPjPerBit = 12.0;        ///< 12 pJ/bit read/write
+    static constexpr double kNetworkPjPerBitHop = 5.0;  ///< 5 pJ/bit/hop
+    static constexpr double kDramPjPerBit = 12.0;  ///< 12 pJ/bit read/write
+
     /**
      * Background (clocking/SerDes idle) energy per active node per
      * cycle, in pJ. Not in Table I: the paper's power-management
      * study implicitly charges powered-on routers something that
      * gating recovers. This knob makes Fig 9(b) reproducible;
      * `sfx run fig09b_power_gating_edp` reports several values,
-     * including 0 (see DESIGN.md, substitutions).
+     * including 0 (see docs/substitutions.md).
      */
     double idlePjPerNodeCycle = 10.0;
 };

@@ -26,7 +26,7 @@ class EnergyModel
     void
     addNetwork(std::uint64_t bits, std::uint64_t hops)
     {
-        networkPj_ += params_.networkPjPerBitHop *
+        networkPj_ += EnergyParams::kNetworkPjPerBitHop *
                       static_cast<double>(bits) *
                       static_cast<double>(hops);
     }
@@ -35,7 +35,7 @@ class EnergyModel
     void
     addFlitHops(std::uint64_t flit_hops, int flit_bits)
     {
-        networkPj_ += params_.networkPjPerBitHop *
+        networkPj_ += EnergyParams::kNetworkPjPerBitHop *
                       static_cast<double>(flit_hops) *
                       static_cast<double>(flit_bits);
     }
@@ -44,7 +44,7 @@ class EnergyModel
     void
     addDram(std::uint64_t bits)
     {
-        dramPj_ += params_.dramPjPerBit * static_cast<double>(bits);
+        dramPj_ += EnergyParams::kDramPjPerBit * static_cast<double>(bits);
     }
 
     /** Charge background energy: @p node_cycles active node-cycles. */

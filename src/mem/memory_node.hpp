@@ -24,14 +24,12 @@ class MemoryNode
 {
   public:
     /**
-     * @param timing DRAM timing parameters.
      * @param num_banks Independent banks (HMC vault-like).
      * @param row_bytes Row-buffer coverage per bank.
      */
-    explicit MemoryNode(const DramTiming &timing = {},
-                        int num_banks = 16,
+    explicit MemoryNode(int num_banks = 16,
                         std::uint64_t row_bytes = 2048)
-        : timing_(timing), rowBytes_(row_bytes),
+        : rowBytes_(row_bytes),
           banks_(static_cast<std::size_t>(num_banks))
     {
     }
@@ -51,15 +49,15 @@ class MemoryNode
         const Cycle start = std::max(now, bank.busyUntil);
         Cycle done;
         if (bank.rowOpen && bank.openRow == row) {
-            done = start + timing_.cl();
+            done = start + DramTiming::cl();
             ++rowHits_;
         } else {
             // Precharge (honouring tRAS), activate, then column.
-            const Cycle precharge_at =
-                std::max(start, bank.lastActivate + timing_.ras());
-            done = precharge_at + timing_.rp() + timing_.rcd() +
-                   timing_.cl();
-            bank.lastActivate = precharge_at + timing_.rp();
+            const Cycle precharge_at = std::max(
+                start, bank.lastActivate + DramTiming::ras());
+            done = precharge_at + DramTiming::rp() +
+                   DramTiming::rcd() + DramTiming::cl();
+            bank.lastActivate = precharge_at + DramTiming::rp();
             bank.rowOpen = true;
             bank.openRow = row;
             ++rowMisses_;
@@ -79,7 +77,6 @@ class MemoryNode
         bool rowOpen = false;
     };
 
-    DramTiming timing_;
     std::uint64_t rowBytes_;
     std::vector<Bank> banks_;
     std::uint64_t rowHits_ = 0;

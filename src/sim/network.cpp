@@ -236,7 +236,7 @@ NetworkModel::precomputeRoutes(Cycle now)
             if (vc.fifo.empty())
                 continue;
             if (!pool_.at(vc.fifo.head).escape &&
-                now - vc.headSince > cfg_.escapeThreshold)
+                now - vc.headSince > SimConfig::kEscapeThreshold)
                 continue;  // the walk escalates before routing
             consider(vc.fifo.head);
         }
@@ -301,10 +301,11 @@ NetworkModel::step(Cycle now)
     // Deadlock watchdog (after arbitration: lastProgress_ is final).
     if (inFlight() == 0) {
         lastProgress_ = now;
-    } else if (now - lastProgress_ > cfg_.watchdogCycles) {
+    } else if (now - lastProgress_ > SimConfig::kWatchdogCycles) {
         std::ostringstream os;
         os << "deadlock watchdog: no forward progress for "
-           << cfg_.watchdogCycles << " cycles on " << topo_->name()
+           << SimConfig::kWatchdogCycles << " cycles on "
+           << topo_->name()
            << " with " << inFlight() << " packets in flight";
         throw std::runtime_error(os.str());
     }
@@ -416,7 +417,8 @@ NetworkModel::arbitrateNode(NodeId node, Cycle now)
         const std::uint32_t slot = vc.fifo.head;
         Packet &p = pool_.at(slot);
         // Escalate to the escape VC after a long head-of-line wait.
-        if (!p.escape && now - vc.headSince > cfg_.escapeThreshold) {
+        if (!p.escape &&
+            now - vc.headSince > SimConfig::kEscapeThreshold) {
             p.escape = true;
             p.escapeUpPhase = true;
             p.routed = false;
@@ -556,12 +558,12 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
             continue;
         // Virtual cut-through: room for the entire packet downstream.
         const VcState &down = vcs_[vcStateIndex(link, want_vc)];
-        if (down.flitsReserved + p.flits > cfg_.vcDepth)
+        if (down.flitsReserved + p.flits > SimConfig::kVcDepth)
             continue;
         usable[usable_count] = link;
         occupancy[usable_count] =
             static_cast<double>(down.flitsReserved) /
-            static_cast<double>(cfg_.vcDepth);
+            static_cast<double>(SimConfig::kVcDepth);
         ++usable_count;
     }
     if (stale) {
@@ -576,7 +578,7 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
     // its port queue passed the threshold, then take the lightest).
     int pick = 0;
     if (cfg_.adaptive && usable_count > 1 &&
-        occupancy[0] > cfg_.adaptiveThreshold) {
+        occupancy[0] > SimConfig::kAdaptiveThreshold) {
         for (int i = 1; i < usable_count; ++i) {
             if (occupancy[i] < occupancy[pick])
                 pick = i;
@@ -614,7 +616,7 @@ NetworkModel::tryForward(NodeId node, Packet &p, std::uint32_t slot,
     adjustReserved(vcs_[vcStateIndex(link, dvc)], p.flits);
     ++pendingArrivals_[l.dst];
     const Cycle arrival = now + p.flits - 1 + l.latency +
-                          cfg_.serdesCycles;
+                          SimConfig::kSerdesCycles;
     pushArrival(arrivals_, Arrival{arrival, slot, link, dvc});
     return true;
 }

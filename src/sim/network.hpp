@@ -6,7 +6,7 @@
  *
  * Router microarchitecture (one per memory node):
  *  - one input unit per incoming link, holding V virtual channels of
- *    @c vcDepth flits each;
+ *    @c SimConfig::kVcDepth flits each;
  *  - a source queue (terminal/processor port) injecting at one flit
  *    per cycle;
  *  - one ejection port delivering at one flit per cycle;

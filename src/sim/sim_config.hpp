@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulator configuration (paper Table I defaults).
+ * Simulator configuration (paper Table I values).
  *
  * The network clock matches the memory-node clock: 312.5 MHz with
  * HMC-based nodes, i.e. one cycle = 3.2 ns. The per-hop SerDes delay
@@ -18,32 +18,38 @@
 
 namespace sf::sim {
 
-/** Tunable parameters of one simulation. */
+/**
+ * Parameters of one simulation. The Table I values are constants;
+ * the fields are what callers vary.
+ */
 struct SimConfig {
     /** Buffer depth of each virtual channel, in flits. */
-    int vcDepth = 16;
+    static constexpr int kVcDepth = 16;
     /** Flits per data packet (header + 64B line in 16B flits). */
-    int packetFlits = 5;
+    static constexpr int kPacketFlits = 5;
     /** Extra cycles per hop for SerDes (3.2 ns at 312.5 MHz). */
-    Cycle serdesCycles = 1;
+    static constexpr Cycle kSerdesCycles = 1;
     /**
      * Head-of-line wait (cycles) before a packet transfers to the
      * escape virtual channel. High enough that ordinary congestion
      * rides it out; only a genuine cyclic stall escalates.
      */
-    Cycle escapeThreshold = 256;
+    static constexpr Cycle kEscapeThreshold = 256;
     /**
      * Adaptive routing: a port whose downstream buffer is filled
      * beyond this fraction is diverted around when an alternative
      * candidate exists (paper: user-defined threshold, e.g. 50%).
      */
-    double adaptiveThreshold = 0.5;
+    static constexpr double kAdaptiveThreshold = 0.5;
+    /** Cycles without any forward progress that mean deadlock. */
+    static constexpr Cycle kWatchdogCycles = 50000;
+    /** Bits per flit (16-byte flits). */
+    static constexpr int kFlitBits = 128;
+    /** Nanoseconds per network cycle (312.5 MHz). */
+    static constexpr double kNsPerCycle = 3.2;
+
     /** Enable congestion-aware selection among route candidates. */
     bool adaptive = true;
-    /** Cycles without any forward progress that mean deadlock. */
-    Cycle watchdogCycles = 50000;
-    /** Bits per flit (16-byte flits). */
-    int flitBits = 128;
     /** Traffic/selection randomness seed. */
     std::uint64_t seed = 1;
     /**
@@ -100,9 +106,6 @@ struct SimConfig {
      * opts Release test binaries in. Changes no simulated event.
      */
     bool validateReconfig = false;
-
-    /** Nanoseconds per network cycle (312.5 MHz). */
-    static constexpr double kNsPerCycle = 3.2;
 };
 
 } // namespace sf::sim

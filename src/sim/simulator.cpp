@@ -61,135 +61,38 @@ fillMeasuredStats(RunResult &result, const NetStats &stats)
     result.topologyEpochs = stats.topologyEpochs;
 }
 
-} // namespace
-
-RunResult
-runSynthetic(const net::Topology &topo, TrafficPattern pattern,
-             double rate, const SimConfig &cfg,
-             const RunPhases &phases, Executor * /*executor*/)
-{
-    NetworkModel net(topo, cfg);
-    Rng traffic_rng(cfg.seed * 0x9e3779b9ULL + 17);
-    const auto nodes = liveNodes(topo);
-    const auto n_all = topo.numNodes();
-
-    RunResult result;
-    result.offeredLoad = rate * cfg.packetFlits;
-
-    const Cycle measure_end = phases.warmup + phases.measure;
-    const Cycle hard_end = measure_end + phases.drainLimit;
-    std::uint64_t measured_injected = 0;
-    std::uint64_t delivered_at_measure_start = 0;
-    std::uint64_t delivered_at_measure_end = 0;
-    // Early-abort when source queues pile several packets deep per
-    // node: the network is saturated, no need to keep simulating.
-    const std::uint64_t backlog_cap = nodes.size() * 6;
-
-    Cycle cycle = 0;
-    for (; cycle < hard_end; ++cycle) {
-        if (cycle == phases.warmup)
-            delivered_at_measure_start =
-                net.stats().deliveredPackets;
-        if (cycle == measure_end)
-            delivered_at_measure_end = net.stats().deliveredPackets;
-
-        const bool in_measure =
-            cycle >= phases.warmup && cycle < measure_end;
-        for (const NodeId src : nodes) {
-            if (!traffic_rng.chance(rate))
-                continue;
-            const NodeId dst = trafficDestination(
-                pattern, src, n_all, traffic_rng);
-            if (dst == src || !topo.nodeAlive(dst))
-                continue;
-            net.inject(src, dst, cfg.packetFlits, kRequest, cycle,
-                       0, in_measure);
-            measured_injected += in_measure ? 1 : 0;
-        }
-        net.step(cycle);
-
-        if ((cycle & 0xff) == 0 &&
-            net.sourceQueueBacklog() > backlog_cap) {
-            result.saturated = true;
-            break;
-        }
-        if (cycle >= measure_end &&
-            net.stats().measuredPackets >= measured_injected)
-            break;  // drained
-    }
-    if (cycle >= hard_end)
-        result.saturated = true;
-
-    fillMeasuredStats(result, net.stats());
-    result.simulatedCycles = cycle;
-    if (cycle > phases.warmup && !nodes.empty()) {
-        const Cycle window_end = std::min<Cycle>(cycle, measure_end);
-        const std::uint64_t delivered_in_window =
-            (delivered_at_measure_end > 0
-                 ? delivered_at_measure_end
-                 : net.stats().deliveredPackets) -
-            delivered_at_measure_start;
-        const double window = static_cast<double>(
-            window_end - phases.warmup);
-        if (window > 0) {
-            result.acceptedLoad =
-                static_cast<double>(delivered_in_window) *
-                cfg.packetFlits /
-                (window * static_cast<double>(nodes.size()));
-            result.realizedLoad =
-                static_cast<double>(measured_injected) *
-                cfg.packetFlits /
-                (window * static_cast<double>(nodes.size()));
-        }
-    }
-    return result;
-}
-
-namespace {
-
 /** Fixed degradation-window length for reconvergence telemetry:
  *  power of two, long enough for a stable window p99 at serving
  *  rates, short enough to resolve a blip inside one measure phase. */
 constexpr Cycle kReconvergeWindow = 256;
 
 /**
- * The open-loop driver behind runOpenLoop and runElastic. With
- * @p schedule null (or empty) this is the exact runOpenLoop
- * engine, event for event; otherwise @p elastic must alias
- * @p topo, and the schedule's waves apply serially at cycle
- * barriers with degradation-window telemetry around each.
+ * The one run loop behind runSynthetic, runOpenLoop and runElastic:
+ * warmup, measure and drain phases over @p nodes (the live nodes
+ * of the topology @p net simulates), the early saturation abort
+ * once source queues hold more than @p backlog_per_node packets per
+ * node, and the accepted/realized load of the measure window.
+ *
+ * Each cycle, before the network steps, @p inject(cycle, emit)
+ * calls emit(src, dst) once per packet to inject, in injection
+ * order; the injector owns the arrival process, its randomness and
+ * its skip rule.
+ *
+ * With @p schedule null (or empty) the topology never changes;
+ * otherwise @p elastic must be the topology @p net simulates, and
+ * the schedule's waves apply serially at cycle barriers with
+ * degradation-window telemetry around each.
  */
+template <class Injector>
 RunResult
-runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
-                const ArrivalConfig &arrivals, double rate,
-                const SimConfig &cfg, const RunPhases &phases,
-                core::StringFigure *elastic,
-                const ReconfigSchedule *schedule)
+runLoop(NetworkModel &net, const std::vector<NodeId> &nodes,
+        double rate, const SimConfig &cfg, const RunPhases &phases,
+        std::uint64_t backlog_per_node, Injector &&inject,
+        core::StringFigure *elastic = nullptr,
+        const ReconfigSchedule *schedule = nullptr)
 {
-    NetworkModel net(topo, cfg);
-    const auto nodes = liveNodes(topo);
-    const auto n_all = topo.numNodes();
-
-    // Per-node arrival schedules and destination streams. Both are
-    // pure functions of (cfg.seed, node), so the whole injection
-    // sequence is fixed before the first cycle executes —
-    // congestion cannot push back on the offered load, and no
-    // execution knob (jobs) can reach it.
-    std::vector<OpenLoopSource> sources;
-    std::vector<Rng> destRng;
-    std::vector<Cycle> nextArrival;
-    sources.reserve(nodes.size());
-    destRng.reserve(nodes.size());
-    nextArrival.reserve(nodes.size());
-    for (const NodeId src : nodes) {
-        sources.emplace_back(arrivals, rate,
-                             nodeStreamSeed(cfg.seed, src, 1));
-        destRng.emplace_back(nodeStreamSeed(cfg.seed, src, 2));
-        nextArrival.push_back(sources.back().next());
-    }
-
     RunResult result;
-    result.offeredLoad = rate * cfg.packetFlits;
+    result.offeredLoad = rate * SimConfig::kPacketFlits;
 
     const Cycle measure_end = phases.warmup + phases.measure;
     const Cycle hard_end = measure_end + phases.drainLimit;
@@ -197,11 +100,9 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
     std::uint64_t measured_dropped = 0;
     std::uint64_t delivered_at_measure_start = 0;
     std::uint64_t delivered_at_measure_end = 0;
-    // Deeper early-abort cap than runSynthetic's: on/off arrival
-    // processes legitimately pile transient bursts tens of packets
-    // deep per node and then drain — only a backlog far beyond any
-    // burst working set means the offered load exceeds capacity.
-    const std::uint64_t backlog_cap = nodes.size() * 24;
+    // Early-abort when source queues pile several packets deep per
+    // node: the network is saturated, no need to keep simulating.
+    const std::uint64_t backlog_cap = nodes.size() * backlog_per_node;
 
     // Elastic bookkeeping: the schedule cursor, and the
     // degradation-window tracker of the wave in flight.
@@ -350,28 +251,11 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
 
         const bool in_measure =
             cycle >= phases.warmup && cycle < measure_end;
-        // Serial, ascending-node injection order: the arrival
-        // heap's push interleaving is load-bearing (ROADMAP
-        // total-event-order constraint), so schedules drain in a
-        // fixed order no matter how they were generated.
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            while (nextArrival[i] <= cycle) {
-                nextArrival[i] = sources[i].next();
-                const NodeId src = nodes[i];
-                const NodeId dst = trafficDestination(
-                    pattern, src, n_all, destRng[i]);
-                // Gated sources and destinations skip the inject
-                // but still consume their stream draws, so the
-                // schedules of the surviving nodes are untouched
-                // by who else is live.
-                if (dst == src || !topo.nodeAlive(dst) ||
-                    !topo.nodeAlive(src))
-                    continue;
-                net.inject(src, dst, cfg.packetFlits, kRequest,
-                           cycle, 0, in_measure);
-                measured_injected += in_measure ? 1 : 0;
-            }
-        }
+        inject(cycle, [&](NodeId src, NodeId dst) {
+            net.inject(src, dst, SimConfig::kPacketFlits, kRequest,
+                       cycle, 0, in_measure);
+            measured_injected += in_measure ? 1 : 0;
+        });
         net.step(cycle);
 
         if ((cycle & 0xff) == 0 &&
@@ -402,15 +286,111 @@ runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
         if (window > 0) {
             result.acceptedLoad =
                 static_cast<double>(delivered_in_window) *
-                cfg.packetFlits /
+                SimConfig::kPacketFlits /
                 (window * static_cast<double>(nodes.size()));
             result.realizedLoad =
                 static_cast<double>(measured_injected) *
-                cfg.packetFlits /
+                SimConfig::kPacketFlits /
                 (window * static_cast<double>(nodes.size()));
         }
     }
     return result;
+}
+
+} // namespace
+
+RunResult
+runSynthetic(const net::Topology &topo, TrafficPattern pattern,
+             double rate, const SimConfig &cfg,
+             const RunPhases &phases, Executor * /*executor*/)
+{
+    // A Bernoulli trial per live node per cycle, drawn with its
+    // destination from one traffic RNG in ascending node order.
+    NetworkModel net(topo, cfg);
+    Rng traffic_rng(cfg.seed * 0x9e3779b9ULL + 17);
+    const auto nodes = liveNodes(topo);
+    const auto n_all = topo.numNodes();
+    return runLoop(
+        net, nodes, rate, cfg, phases, 6,
+        [&](Cycle, auto &&emit) {
+            for (const NodeId src : nodes) {
+                if (!traffic_rng.chance(rate))
+                    continue;
+                const NodeId dst = trafficDestination(
+                    pattern, src, n_all, traffic_rng);
+                if (dst == src || !topo.nodeAlive(dst))
+                    continue;
+                emit(src, dst);
+            }
+        });
+}
+
+namespace {
+
+/**
+ * The open-loop injector behind runOpenLoop and runElastic, over
+ * runLoop. With @p schedule null (or empty) this is the exact
+ * runOpenLoop engine, event for event; otherwise @p elastic must
+ * alias @p topo.
+ */
+RunResult
+runOpenLoopImpl(const net::Topology &topo, TrafficPattern pattern,
+                const ArrivalConfig &arrivals, double rate,
+                const SimConfig &cfg, const RunPhases &phases,
+                core::StringFigure *elastic,
+                const ReconfigSchedule *schedule)
+{
+    NetworkModel net(topo, cfg);
+    const auto nodes = liveNodes(topo);
+    const auto n_all = topo.numNodes();
+
+    // Per-node arrival schedules and destination streams. Both are
+    // pure functions of (cfg.seed, node), so the whole injection
+    // sequence is fixed before the first cycle executes —
+    // congestion cannot push back on the offered load, and no
+    // execution knob (jobs) can reach it.
+    std::vector<OpenLoopSource> sources;
+    std::vector<Rng> destRng;
+    std::vector<Cycle> nextArrival;
+    sources.reserve(nodes.size());
+    destRng.reserve(nodes.size());
+    nextArrival.reserve(nodes.size());
+    for (const NodeId src : nodes) {
+        sources.emplace_back(arrivals, rate,
+                             nodeStreamSeed(cfg.seed, src, 1));
+        destRng.emplace_back(nodeStreamSeed(cfg.seed, src, 2));
+        nextArrival.push_back(sources.back().next());
+    }
+
+    // Deeper early-abort cap than runSynthetic's: on/off arrival
+    // processes legitimately pile transient bursts tens of packets
+    // deep per node and then drain — only a backlog far beyond any
+    // burst working set means the offered load exceeds capacity.
+    return runLoop(
+        net, nodes, rate, cfg, phases, 24,
+        [&](Cycle cycle, auto &&emit) {
+            // Serial, ascending-node injection order: the arrival
+            // heap's push interleaving is load-bearing (ROADMAP
+            // total-event-order constraint), so schedules drain in
+            // a fixed order no matter how they were generated.
+            for (std::size_t i = 0; i < nodes.size(); ++i) {
+                while (nextArrival[i] <= cycle) {
+                    nextArrival[i] = sources[i].next();
+                    const NodeId src = nodes[i];
+                    const NodeId dst = trafficDestination(
+                        pattern, src, n_all, destRng[i]);
+                    // Gated sources and destinations skip the
+                    // inject but still consume their stream draws,
+                    // so the schedules of the surviving nodes are
+                    // untouched by who else is live.
+                    if (dst == src || !topo.nodeAlive(dst) ||
+                        !topo.nodeAlive(src))
+                        continue;
+                    emit(src, dst);
+                }
+            }
+        },
+        elastic, schedule);
 }
 
 } // namespace

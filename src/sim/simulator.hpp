@@ -153,8 +153,8 @@ struct RunResult {
 
 /**
  * Run open-loop synthetic traffic: every live node injects a
- * @c cfg.packetFlits packet with probability @p rate each cycle
- * toward @p pattern destinations. Injection continues during drain;
+ * SimConfig::kPacketFlits packet with probability @p rate each
+ * cycle toward @p pattern destinations. Injection continues during drain;
  * a run that cannot drain its measured packets (or whose source
  * backlog keeps growing) reports saturated.
  *

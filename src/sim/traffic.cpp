@@ -92,12 +92,13 @@ OpenLoopSource::OpenLoopSource(const ArrivalConfig &config,
         return;
     }
     if (modulated_) {
-        onRate_ = rate * cfg_.burstFactor;
+        onRate_ = rate * ArrivalConfig::kBurstFactor;
         // Random initial phase: each node starts on with the duty
         // probability 1/B, so dwell states never align across the
         // network at cycle 0 (which would be a synchronized burst
         // no open-loop client fleet produces).
-        const bool start_on = rng_.chance(1.0 / cfg_.burstFactor);
+        const bool start_on =
+            rng_.chance(1.0 / ArrivalConfig::kBurstFactor);
         on_ = !start_on;
         toggleState();  // flips into the sampled state and draws
                         // its initial dwell
@@ -115,7 +116,7 @@ double
 OpenLoopSource::pareto(double mean)
 {
     // Pareto(xm, a) has mean xm * a / (a - 1); invert for xm.
-    const double a = cfg_.paretoShape;
+    const double a = ArrivalConfig::kParetoShape;
     const double xm = mean * (a - 1.0) / a;
     return xm / std::pow(1.0 - rng_.uniform(), 1.0 / a);
 }
@@ -125,7 +126,9 @@ OpenLoopSource::toggleState()
 {
     on_ = !on_;
     const double mean =
-        on_ ? cfg_.onMean : cfg_.onMean * (cfg_.burstFactor - 1.0);
+        on_ ? ArrivalConfig::kOnMean
+            : ArrivalConfig::kOnMean *
+                  (ArrivalConfig::kBurstFactor - 1.0);
     const double dwell =
         cfg_.process == ArrivalProcess::SelfSimilar ? pareto(mean)
                                                     : expo(mean);

@@ -85,23 +85,24 @@ std::string arrivalProcessName(ArrivalProcess process);
 /** Parse an arrival-process name; throws std::invalid_argument. */
 ArrivalProcess parseArrivalProcess(std::string_view name);
 
-/** Shape knobs of the on/off processes (defaults are the
- *  experiment family's reporting configuration). */
+/** The arrival process and the shape constants of the on/off
+ *  processes (the experiment family's reporting configuration). */
 struct ArrivalConfig {
-    ArrivalProcess process = ArrivalProcess::Poisson;
     /**
      * On-state rate multiplier B of the bursty/self-similar
      * sources: the on state injects at B x the mean rate and the
      * duty cycle is 1/B, so the long-run offered load matches the
      * Poisson source at the same nominal rate.
      */
-    double burstFactor = 8.0;
+    static constexpr double kBurstFactor = 8.0;
     /** Mean on-state dwell, cycles (off dwell = (B-1) x this). */
-    double onMean = 200.0;
+    static constexpr double kOnMean = 200.0;
     /** Pareto tail index of the self-similar dwell times; in
      *  (1, 2) the durations have finite mean but infinite
      *  variance, the regime that produces long-range dependence. */
-    double paretoShape = 1.5;
+    static constexpr double kParetoShape = 1.5;
+
+    ArrivalProcess process = ArrivalProcess::Poisson;
 };
 
 /**

@@ -10,7 +10,6 @@
 #include "net/bisection.hpp"
 #include "net/shared_memo.hpp"
 #include "topos/flattened_butterfly.hpp"
-#include "topos/jellyfish.hpp"
 #include "topos/mesh.hpp"
 #include "topos/space_shuffle.hpp"
 
@@ -79,6 +78,16 @@ randomTopologyPorts(std::size_t n)
     return n <= 128 ? 4 : 8;
 }
 
+core::SFParams
+defaultSfParams(std::size_t n, std::uint64_t seed)
+{
+    core::SFParams params;
+    params.numNodes = n;
+    params.routerPorts = randomTopologyPorts(n);
+    params.seed = seed;
+    return params;
+}
+
 namespace {
 
 /** Canonical cache-key encoding of every SF construction knob
@@ -86,7 +95,8 @@ namespace {
 std::string
 sfVariant(const core::SFParams &p)
 {
-    std::string v = "p" + std::to_string(p.routerPorts);
+    std::string v = "p";
+    v += std::to_string(p.routerPorts);
     v += p.linkMode == core::LinkMode::Unidirectional ? ",uni"
                                                       : ",bi";
     v += p.repairMode == core::RepairMode::AllSpaces ? ",as"
@@ -97,20 +107,6 @@ sfVariant(const core::SFParams &p)
     v += p.twoHopTable ? ",th1" : ",th0";
     v += ",cb" + std::to_string(p.coordBits);
     return v;
-}
-
-/** The factory's SF configuration: default knobs at the scale's
- *  paper port policy. Single source for both makeTopology() and
- *  the cache key, so a cached SF is value-identical to a fresh
- *  build. */
-core::SFParams
-defaultSfParams(std::size_t n, std::uint64_t seed)
-{
-    core::SFParams params;
-    params.numNodes = n;
-    params.routerPorts = randomTopologyPorts(n);
-    params.seed = seed;
-    return params;
 }
 
 } // namespace
@@ -200,11 +196,7 @@ matchOdmMultiplier(std::size_t n, std::uint64_t seed)
     static net::SharedMemo<std::pair<std::size_t, std::uint64_t>, int>
         memo;
     return memo.getOrBuild({n, seed}, [n, seed] {
-        core::SFParams params;
-        params.numNodes = n;
-        params.routerPorts = randomTopologyPorts(n);
-        params.seed = seed;
-        const core::StringFigure sf_net(params);
+        const core::StringFigure sf_net(defaultSfParams(n, seed));
         Rng rng_sf(seed * 7 + 1);
         const auto sf_bw =
             net::minBisectionBandwidth(sf_net.graph(), rng_sf, 10);
@@ -219,9 +211,9 @@ matchOdmMultiplier(std::size_t n, std::uint64_t seed)
         // graph's O(N) bisection with an O(sqrt N) link multiplier
         // — dozens of parallel wires at 1024 nodes, which no real
         // router carries. Cap the optimisation at 4x (the paper
-        // never states ODM's multiplier; see DESIGN.md
-        // interpretation notes) and let the bisection_bandwidth
-        // experiment print the uncapped ratio.
+        // never states ODM's multiplier; see
+        // docs/substitutions.md) and let the bisection_bandwidth
+        // experiment print the bisections it balances.
         const int mult = std::max(
             1, static_cast<int>(std::lround(
                    static_cast<double>(sf_bw) /

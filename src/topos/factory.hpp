@@ -39,13 +39,21 @@ bool supported(TopoKind kind, std::size_t n);
 /**
  * Router ports used by the paper at this scale (Fig 8), or -1 when
  * the paper does not report the configuration. Our construction may
- * realise a different radix for FB/AFB (documented in DESIGN.md);
+ * realise a different radix for FB/AFB (docs/substitutions.md);
  * benches print both.
  */
 int paperRouterPorts(TopoKind kind, std::size_t n);
 
 /** SF/S2 port policy: 4 ports up to 128 nodes, 8 beyond (Fig 8). */
 int randomTopologyPorts(std::size_t n);
+
+/**
+ * The factory's SF configuration: default knobs at the scale's
+ * paper port policy. makeTopology(), the cache key and every
+ * default-knob String Figure elsewhere start from it, so a cached
+ * SF is value-identical to a fresh build.
+ */
+core::SFParams defaultSfParams(std::size_t n, std::uint64_t seed);
 
 /**
  * Build a fresh topology instance.

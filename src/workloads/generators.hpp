@@ -8,7 +8,7 @@
  * CPU-access stream with the workload's characteristic footprint,
  * locality, and read/write mix, filtered through the same
  * 32KB/2MB/32MB cache hierarchy the paper's tool models (see
- * DESIGN.md, substitutions). Trace timestamps come from instruction
+ * docs/substitutions.md). Trace timestamps come from instruction
  * ids at an average CPI, exactly like the paper.
  */
 

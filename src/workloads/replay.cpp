@@ -1,12 +1,12 @@
 #include "workloads/replay.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <queue>
 
 #include "core/string_figure.hpp"
+#include "mem/address_map.hpp"
+#include "mem/energy.hpp"
 #include "mem/memory_node.hpp"
-#include "mem/power_manager.hpp"
 #include "sim/network.hpp"
 
 namespace sf::wl {
@@ -31,14 +31,10 @@ struct Socket {
     int outstanding = 0;
 };
 
-} // namespace
-
-namespace {
-
 /**
  * Shared implementation: replay is read-only on @p topo except for
- * the optional power gating, which requires the caller to pass the
- * mutable StringFigure view in @p sf_mutable.
+ * the optional up-front power gating, which requires the caller to
+ * pass the mutable StringFigure view in @p sf_mutable.
  */
 ReplayResult
 replayImpl(const Trace &trace, const net::Topology &topo,
@@ -52,49 +48,31 @@ replayImpl(const Trace &trace, const net::Topology &topo,
         return result;
     }
 
-    // Static down-scaling happens before anything attaches or maps.
-    if (gate_to_live > 0 && cfg.staticGating &&
-        sf_mutable != nullptr) {
+    // Down-scaling happens before anything attaches or maps, so
+    // the run never sees a topology change.
+    if (gate_to_live > 0 && sf_mutable != nullptr) {
         Rng gate_rng(sim_cfg.seed * 13 + 5);
         sf_mutable->reduceTo(gate_to_live, gate_rng);
     }
 
     sim::NetworkModel net(topo, sim_cfg);
-    mem::AddressMap map(topo, cfg.interleaveBytes);
+    const mem::AddressMap map(topo, ReplayConfig::kInterleaveBytes);
     mem::EnergyModel energy(cfg.energy);
-    std::vector<mem::MemoryNode> memory;
-    memory.reserve(topo.numNodes());
-    for (std::size_t i = 0; i < topo.numNodes(); ++i)
-        memory.emplace_back(cfg.dram);
+    std::vector<mem::MemoryNode> memory(topo.numNodes());
 
     // Attach sockets to evenly spaced live nodes.
+    constexpr int kSockets = ReplayConfig::kSockets;
+    constexpr int kAttach = ReplayConfig::kAttachPerSocket;
     const auto &live = map.nodes();
-    std::vector<Socket> sockets(
-        static_cast<std::size_t>(cfg.sockets));
-    std::vector<NodeId> attachments;
-    for (int s = 0; s < cfg.sockets; ++s) {
-        for (int a = 0; a < cfg.attachPerSocket; ++a) {
+    std::vector<Socket> sockets(kSockets);
+    for (int s = 0; s < kSockets; ++s) {
+        for (int a = 0; a < kAttach; ++a) {
             const std::size_t pick =
-                (static_cast<std::size_t>(s) * cfg.attachPerSocket +
-                 a) * live.size() /
-                (static_cast<std::size_t>(cfg.sockets) *
-                 cfg.attachPerSocket);
+                (static_cast<std::size_t>(s) * kAttach + a) *
+                live.size() /
+                (static_cast<std::size_t>(kSockets) * kAttach);
             sockets[s].attach.push_back(live[pick]);
-            attachments.push_back(live[pick]);
         }
-    }
-
-    // Optional mid-run power management (StringFigure only);
-    // socket attachment points are never gated.
-    core::StringFigure *sf_topo =
-        cfg.staticGating ? nullptr : sf_mutable;
-    std::unique_ptr<mem::PowerManager> pm;
-    if (gate_to_live > 0 && sf_topo != nullptr) {
-        pm = std::make_unique<mem::PowerManager>(*sf_topo, net,
-                                                 mem::PowerParams{},
-                                                 sim_cfg.seed);
-        pm->setTarget(gate_to_live);
-        pm->setProtected(attachments);
     }
 
     // Round-robin op distribution across sockets.
@@ -112,14 +90,6 @@ replayImpl(const Trace &trace, const net::Topology &topo,
 
     std::priority_queue<PendingReply, std::vector<PendingReply>,
                         std::greater<>> replies;
-    /** Ops to reissue after their target node was gated away. */
-    std::vector<std::uint64_t> reissue;
-
-    net.setDropHandler([&](const sim::Packet &p, Cycle) {
-        // The address's page now lives on a surviving node
-        // (migration); retry the whole operation there.
-        reissue.push_back(p.payload);
-    });
 
     net.setDeliverHandler([&](const sim::Packet &p, Cycle at) {
         const std::uint64_t op_index = p.payload;
@@ -130,8 +100,9 @@ replayImpl(const Trace &trace, const net::Topology &topo,
             const Cycle done = memory[p.dst].access(
                 map.localAddr(op.addr), op.isWrite, at);
             energy.addDram(64ull * 8);
-            const int flits = op.isWrite ? cfg.writeAckFlits
-                                         : cfg.readReplyFlits;
+            const int flits = op.isWrite
+                                  ? ReplayConfig::kWriteAckFlits
+                                  : ReplayConfig::kReadReplyFlits;
             replies.push(PendingReply{done, p.dst,
                                       reply_to[op_index], flits,
                                       op_index});
@@ -144,35 +115,10 @@ replayImpl(const Trace &trace, const net::Topology &topo,
         }
     });
 
-    std::uint64_t background_node_cycles = 0;
-    std::uint64_t reconfigs_seen = 0;
     Cycle cycle = 0;
-    for (; completed < trace.ops.size() && cycle < cfg.maxCycles;
+    for (; completed < trace.ops.size() &&
+           cycle < ReplayConfig::kMaxCycles;
          ++cycle) {
-        if (pm) {
-            pm->tick(cycle);
-            if (pm->reconfigOps() != reconfigs_seen) {
-                reconfigs_seen = pm->reconfigOps();
-                map.rebuild(topo);
-            }
-        }
-
-        // Retry operations whose packets were dropped by a
-        // reconfiguration, against the rebuilt address map.
-        if (!reissue.empty()) {
-            for (const std::uint64_t op_index : reissue) {
-                const TraceOp &op = trace.ops[op_index];
-                const NodeId attach = reply_to[op_index];
-                const NodeId target = map.node(op.addr);
-                const int flits = op.isWrite
-                                      ? cfg.writeRequestFlits
-                                      : cfg.readRequestFlits;
-                net.inject(attach, target, flits, sim::kRequest,
-                           cycle, op_index, true);
-            }
-            reissue.clear();
-        }
-
         // Issue ready ops (timestamp arrived, window open).
         for (auto &sock : sockets) {
             const std::uint64_t sock_index =
@@ -183,20 +129,18 @@ replayImpl(const Trace &trace, const net::Topology &topo,
                     socket_ops[sock_index][sock.nextOp];
                 const TraceOp &op = trace.ops[op_index];
                 if (cfg.respectTimestamps &&
-                    Trace::instrToCycles(op.instrId, cfg.cpi) >
-                        cycle)
+                    Trace::instrToCycles(op.instrId,
+                                         ReplayConfig::kCpi) > cycle)
                     break;
                 const NodeId attach =
                     sock.attach[sock.nextAttach++ %
                                 sock.attach.size()];
-                if (!topo.nodeAlive(attach))
-                    break;  // attachment gated: stall this socket
                 const NodeId target = map.node(op.addr);
                 issued_at[op_index] = cycle;
                 reply_to[op_index] = attach;
-                const int flits = op.isWrite
-                                      ? cfg.writeRequestFlits
-                                      : cfg.readRequestFlits;
+                const int flits =
+                    op.isWrite ? ReplayConfig::kWriteRequestFlits
+                               : ReplayConfig::kReadRequestFlits;
                 net.inject(attach, target, flits, sim::kRequest,
                            cycle, op_index, true);
                 ++sock.outstanding;
@@ -213,7 +157,6 @@ replayImpl(const Trace &trace, const net::Topology &topo,
         }
 
         net.step(cycle);
-        background_node_cycles += map.numNodes();
     }
 
     result.runtimeCycles = cycle;
@@ -240,8 +183,10 @@ replayImpl(const Trace &trace, const net::Topology &topo,
                                             completed))
                                : 0.0;
 
-    energy.addFlitHops(net.stats().flitHops, sim_cfg.flitBits);
-    energy.addBackground(background_node_cycles);
+    energy.addFlitHops(net.stats().flitHops,
+                       sim::SimConfig::kFlitBits);
+    // Every mapped node stays live for the whole run.
+    energy.addBackground(cycle * map.numNodes());
     result.networkPj = energy.networkPj();
     result.dramPj = energy.dramPj();
     result.backgroundPj = energy.backgroundPj();

@@ -19,27 +19,33 @@
 #include <cstdint>
 #include <vector>
 
-#include "mem/address_map.hpp"
 #include "mem/dram_timing.hpp"
-#include "mem/energy.hpp"
 #include "net/topology.hpp"
 #include "sim/sim_config.hpp"
 #include "workloads/trace.hpp"
 
 namespace sf::wl {
 
-/** Replay parameters. */
+/**
+ * Replay parameters. The Table I values are constants; the fields
+ * are what callers vary.
+ */
 struct ReplayConfig {
-    int sockets = 4;
+    static constexpr int kSockets = 4;
     /** Memory nodes each socket attaches to (terminal ports). */
-    int attachPerSocket = 4;
+    static constexpr int kAttachPerSocket = 4;
+    static constexpr double kCpi = 1.0;
+    static constexpr int kReadRequestFlits = 1;
+    static constexpr int kReadReplyFlits = 5;
+    static constexpr int kWriteRequestFlits = 5;
+    static constexpr int kWriteAckFlits = 1;
+    /** Interleave granularity of the address map. */
+    static constexpr std::uint64_t kInterleaveBytes = 4096;
+    /** Hard cycle cap (safety against livelocked configs). */
+    static constexpr Cycle kMaxCycles = 30'000'000;
+
     /** Outstanding requests per socket (MSHR window). */
     int window = 64;
-    double cpi = 1.0;
-    int readRequestFlits = 1;
-    int readReplyFlits = 5;
-    int writeRequestFlits = 5;
-    int writeAckFlits = 1;
     /**
      * Gate op issue on trace timestamps (CPU-bound replay). The
      * default issues as fast as the window allows (memory-bound
@@ -47,19 +53,7 @@ struct ReplayConfig {
      * networks when the memory system is the bottleneck.
      */
     bool respectTimestamps = false;
-    /** Interleave granularity of the address map. */
-    std::uint64_t interleaveBytes = 4096;
-    mem::DramTiming dram;
     mem::EnergyParams energy;
-    /** Hard cycle cap (safety against livelocked configs). */
-    Cycle maxCycles = 30'000'000;
-    /**
-     * When gating is requested: true gates the victims up front
-     * (static reduction, the Fig 9(b) sweep), false lets the power
-     * manager gate dynamically during the run, one victim per
-     * 100 us reconfiguration window.
-     */
-    bool staticGating = true;
 };
 
 /** Outcome of one replay. */
@@ -92,13 +86,13 @@ ReplayResult replayTrace(const Trace &trace,
                          const ReplayConfig &cfg);
 
 /**
- * Replay @p trace with power gating.
+ * Replay @p trace with power gating (paper Fig 9(b)).
  *
  * @param gate_to_live When non-zero and the topology is a
- *        StringFigure, nodes are gated until only this many stay
- *        live — up front (cfg.staticGating) or mid-run through a
- *        PowerManager (paper Fig 9(b)). The topology must be a
- *        private instance; never pass a shared cached one.
+ *        StringFigure, nodes are gated up front, before any socket
+ *        attaches, until only this many stay live. The topology
+ *        must be a private instance; never pass a shared cached
+ *        one.
  */
 ReplayResult replayTrace(const Trace &trace, net::Topology &topo,
                          const sim::SimConfig &sim_cfg,

@@ -48,7 +48,8 @@ TEST(Integration, ZeroLoadLatencyTracksRoutedHops)
             phases);
         ASSERT_GT(r.measuredPackets, 50u) << topos::kindName(kind);
         const double per_hop =
-            (r.avgNetworkLatency - cfg.packetFlits) / r.avgHops;
+            (r.avgNetworkLatency - sim::SimConfig::kPacketFlits) /
+            r.avgHops;
         EXPECT_GT(per_hop, 1.5) << topos::kindName(kind);
         EXPECT_LT(per_hop, 8.0) << topos::kindName(kind);
     }

@@ -40,7 +40,7 @@ TEST(MemoryNode, RowHitFasterThanMiss)
 
 TEST(MemoryNode, BanksServeInParallel)
 {
-    MemoryNode node(DramTiming{}, 16, 2048);
+    MemoryNode node(16, 2048);
     // Different banks: both start immediately.
     const Cycle a = node.access(0, false, 0);
     const Cycle b = node.access(2048, false, 0);  // next row/bank
@@ -52,7 +52,7 @@ TEST(MemoryNode, BanksServeInParallel)
 
 TEST(MemoryNode, FcfsPerBank)
 {
-    MemoryNode node(DramTiming{}, 1, 2048);
+    MemoryNode node(1, 2048);
     const Cycle a = node.access(0, false, 0);
     const Cycle b = node.access(0, false, 0);  // same row, queued
     EXPECT_GT(b, a);

@@ -43,7 +43,8 @@ TEST(Network, SinglePacketDelivery)
         EXPECT_EQ(p.dst, 15u);
         EXPECT_EQ(p.hops, 6u);  // Manhattan distance on 4x4
     });
-    net.inject(0, 15, cfg.packetFlits, kRequest, 0, 0, true);
+    net.inject(0, 15, SimConfig::kPacketFlits, kRequest, 0, 0,
+               true);
     for (Cycle c = 0; c < 200 && delivered == 0; ++c)
         net.step(c);
     EXPECT_EQ(delivered, 1u);
@@ -77,7 +78,7 @@ TEST(Network, BackpressureLimitsLinkThroughput)
     SimConfig cfg;
     NetworkModel net(mesh, cfg);
     for (int i = 0; i < 50; ++i)
-        net.inject(0, 1, cfg.packetFlits, kRequest, 0);
+        net.inject(0, 1, SimConfig::kPacketFlits, kRequest, 0);
     Cycle c = 0;
     for (; c < 5000 && net.inFlight() > 0; ++c)
         net.step(c);

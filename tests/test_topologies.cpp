@@ -161,8 +161,9 @@ TEST(SpaceShuffle, DeliversAllPairs)
     const SpaceShuffle s2(61, 4, 5);
     for (NodeId s = 0; s < 61; ++s) {
         for (NodeId t = 0; t < 61; ++t) {
-            if (s != t)
+            if (s != t) {
                 EXPECT_GT(net::routedHops(s2, s, t), 0);
+            }
         }
     }
 }

@@ -127,8 +127,9 @@ TEST(Builder, RepairWiresDormantAtBuild)
     for (LinkId id = 0;
          id < static_cast<LinkId>(data.graph.numLinks()); ++id) {
         const net::Link &l = data.graph.link(id);
-        if (l.kind == net::LinkKind::Repair)
+        if (l.kind == net::LinkKind::Repair) {
             EXPECT_FALSE(l.enabled);
+        }
     }
     EXPECT_GT(data.stats.repairWires, 0u);
 }

@@ -1,20 +1,37 @@
 /**
  * @file
  * Tests for the cache model, workload trace generators, and the
- * trace replay engine.
+ * trace replay engine, pinned against a committed golden report.
+ *
+ * The golden (tests/golden/replay_redis_quick.json) is the redis
+ * slice of the quick Fig 12 and Fig 9(b) grids at --jobs 1: the five
+ * designs' replays, and the static-gating sweep at 0-30% gated with
+ * 10 and 0 pJ idle energy. An intentional replay-behaviour change
+ * must regenerate it in the same commit:
+ *   sfx run fig12_workloads,fig09b_power_gating_edp --quick \
+ *       --runs '*redis*' --jobs 1 \
+ *       --out tests/golden/replay_redis_quick.json
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/string_figure.hpp"
+#include "exp/registry.hpp"
+#include "exp/report.hpp"
+#include "exp/scheduler.hpp"
 #include "topos/mesh.hpp"
 #include "workloads/cache_model.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/replay.hpp"
+
+#ifndef SF_SOURCE_DIR
+#define SF_SOURCE_DIR "."
+#endif
 
 namespace {
 
@@ -212,8 +229,10 @@ TEST(Replay, DramEnergyMatchesOpCount)
     EXPECT_DOUBLE_EQ(result.dramPj, 12.0 * 512 * 1000);
 }
 
-TEST(Replay, PowerGatingMidRunStillCompletes)
+TEST(Replay, StaticReductionStillCompletes)
 {
+    // gate_to_live reduces the network to 48 live nodes before the
+    // replay starts; the trace must still complete on the survivors.
     core::SFParams p;
     p.numNodes = 64;
     p.routerPorts = 8;
@@ -223,7 +242,7 @@ TEST(Replay, PowerGatingMidRunStillCompletes)
     ReplayConfig cfg;
     const auto result = replayTrace(trace, topo, sim_cfg, cfg, 48);
     EXPECT_TRUE(result.finished);
-    EXPECT_LE(topo.reconfig().numAlive(), 64u);
+    EXPECT_EQ(topo.reconfig().numAlive(), 48u);
 }
 
 TEST(Replay, WindowOfOneSerializesEachSocketsRequests)
@@ -258,7 +277,7 @@ TEST(Replay, WindowOfOneSerializesEachSocketsRequests)
     // at least one cycle.
     const auto per_socket = static_cast<Cycle>(
         trace.ops.size() /
-        static_cast<std::size_t>(serial_cfg.sockets));
+        static_cast<std::size_t>(ReplayConfig::kSockets));
     EXPECT_GE(serial.runtimeCycles, 3 * per_socket);
     // And the window is the only thing that changed, so the
     // pipelined replay must be strictly faster.
@@ -293,7 +312,7 @@ TEST(Replay, RespectTimestampsGatesIssueOnTraceTime)
     EXPECT_EQ(gated.opsCompleted, 2000u);
 
     const Cycle last_arrival = Trace::instrToCycles(
-        trace.ops.back().instrId, timed.cpi);
+        trace.ops.back().instrId, ReplayConfig::kCpi);
     ASSERT_GT(last_arrival, unconstrained.runtimeCycles)
         << "trace too dense to distinguish the gated path";
     EXPECT_GE(gated.runtimeCycles, last_arrival);
@@ -319,6 +338,66 @@ TEST(Replay, SlowerNetworkGivesLowerThroughput)
     ASSERT_TRUE(sf_result.finished);
     ASSERT_TRUE(dm_result.finished);
     EXPECT_GT(sf_result.ipc, 0.8 * dm_result.ipc);
+}
+
+// ----------------------------------------------- replay golden
+
+/** `sfx run fig12_workloads,fig09b_power_gating_edp --quick
+ *  --runs '*redis*'`, in-process: plan, filter to the redis slice,
+ *  schedule, report. */
+std::string
+replaySliceReport(int jobs)
+{
+    using namespace sf::exp;
+    const auto specs =
+        registry().match("fig12_workloads,fig09b_power_gating_edp");
+    PlanContext plan_ctx;
+    plan_ctx.effort = Effort::Quick;
+
+    std::vector<ExperimentResults> all;
+    for (const ExperimentSpec *spec : specs) {
+        auto runs = spec->plan(plan_ctx);
+        std::erase_if(runs, [](const RunSpec &run) {
+            return !globMatch("*redis*", run.id);
+        });
+        if (runs.empty())
+            continue;
+        SchedulerOptions sched;
+        sched.jobs = jobs;
+        sched.effort = Effort::Quick;
+        ExperimentResults results;
+        results.spec = spec;
+        results.runs = runExperiment(*spec, runs, sched);
+        for (const sf::exp::RunResult &r : results.runs)
+            EXPECT_FALSE(r.failed) << spec->name << "/" << r.id
+                                   << ": " << r.error;
+        all.push_back(std::move(results));
+    }
+
+    ReportOptions ropts;
+    ropts.effort = Effort::Quick;
+    ropts.jobs = jobs;
+    return buildReport(all, ropts).dump(2) + "\n";
+}
+
+std::string
+replayGoldenBytes()
+{
+    return sf::exp::readFile(std::string(SF_SOURCE_DIR) +
+                             "/tests/golden/replay_redis_quick.json");
+}
+
+TEST(ReplayWorkloads, MatchesGoldenJobs1)
+{
+    const std::string golden = replayGoldenBytes();
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(replaySliceReport(1), golden)
+        << "trace replay no longer reproduces the pinned report";
+}
+
+TEST(ReplayWorkloads, MatchesGoldenJobs8)
+{
+    EXPECT_EQ(replaySliceReport(8), replayGoldenBytes());
 }
 
 } // namespace
