@@ -28,6 +28,7 @@
 #include "exp/scheduler.hpp"
 #include "sim/reconfig_schedule.hpp"
 #include "topos/factory.hpp"
+#include "workloads/generators.hpp"
 
 namespace sf::exp {
 
@@ -566,14 +567,13 @@ doRun(const CliOptions &opts)
                      "failed; those runs will re-execute on "
                      "resume\n",
                      store->stats().writeErrors);
-    if (!opts.quiet) {
-        const auto cache = topos::topologyCache().stats();
-        if (cache.hits + cache.misses > 0)
-            std::printf("topology cache: %llu hits, %llu builds\n",
-                        static_cast<unsigned long long>(
-                            cache.hits),
-                        static_cast<unsigned long long>(
-                            cache.misses));
+    for (const auto &[what, memo] :
+         {std::pair{"topology", topos::topologyCache().stats()},
+          std::pair{"trace", wl::sharedTraceStats()}}) {
+        if (!opts.quiet && memo.hits + memo.misses > 0)
+            std::printf("%s cache: %llu hits, %llu builds\n", what,
+                        static_cast<unsigned long long>(memo.hits),
+                        static_cast<unsigned long long>(memo.misses));
     }
 
     if (pending > 0) {

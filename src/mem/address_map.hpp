@@ -3,10 +3,10 @@
  * Physical-address to memory-node interleaving.
  *
  * Data is distributed across the live memory nodes by physical
- * address (paper Section V, Workloads) at page granularity. When the
- * network is down-scaled, the map rebuilds over the surviving nodes
- * (capacity shrinks; resident data is assumed migrated — see
- * docs/substitutions.md).
+ * address (paper Section V, Workloads) at page granularity. The map
+ * covers the nodes live when it is built, so a replay on a
+ * down-scaled network builds it after gating (capacity shrinks;
+ * resident data is assumed migrated — see docs/substitutions.md).
  */
 
 #pragma once
@@ -31,14 +31,6 @@ class AddressMap
                         std::uint64_t interleave_bytes = 4096)
         : interleave_(interleave_bytes)
     {
-        rebuild(topo);
-    }
-
-    /** Re-derive the live node list (after reconfiguration). */
-    void
-    rebuild(const net::Topology &topo)
-    {
-        nodes_.clear();
         for (NodeId u = 0; u < topo.numNodes(); ++u) {
             if (topo.nodeAlive(u))
                 nodes_.push_back(u);

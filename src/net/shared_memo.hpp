@@ -35,17 +35,17 @@
 
 namespace sf::net {
 
+/** A memo's hit/miss counters (monotonic; clear() keeps them). */
+struct MemoStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;  ///< builds started
+};
+
 /** Build-once memo; Key needs a strict weak order (operator<). */
 template <class Key, class Value>
 class SharedMemo
 {
   public:
-    /** Hit/miss counters (monotonic; clear() keeps them). */
-    struct Stats {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-    };
-
     /**
      * Return the value for @p key, invoking @p build at most once
      * while the key is resident. Blocks (without holding the memo
@@ -88,7 +88,7 @@ class SharedMemo
         return future.get();
     }
 
-    Stats
+    MemoStats
     stats() const
     {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -123,7 +123,7 @@ class SharedMemo
     mutable std::mutex mutex_;
     std::map<Key, Entry> map_;
     std::uint64_t generation_ = 0;
-    Stats stats_;
+    MemoStats stats_;
 };
 
 } // namespace sf::net

@@ -435,27 +435,46 @@ generateTrace(Workload w, std::uint64_t seed, std::size_t num_ops,
     return trace;
 }
 
+namespace {
+
+struct TraceKey {
+    Workload w;
+    std::uint64_t seed;
+    std::size_t numOps;
+    std::size_t warmupOps;
+    auto operator<=>(const TraceKey &) const = default;
+};
+
+/**
+ * Strong entries: a trace is a few MB and the key space of one
+ * process (workloads x one or two op counts) stays tiny, while a
+ * run that releases its reference must not evict the trace the
+ * next sequential run wants.
+ */
+net::SharedMemo<TraceKey, std::shared_ptr<const Trace>> &
+traceMemo()
+{
+    static net::SharedMemo<TraceKey, std::shared_ptr<const Trace>> memo;
+    return memo;
+}
+
+} // namespace
+
 std::shared_ptr<const Trace>
 sharedTrace(Workload w, std::uint64_t seed, std::size_t num_ops,
             std::size_t warmup_ops)
 {
-    struct Key {
-        Workload w;
-        std::uint64_t seed;
-        std::size_t numOps;
-        std::size_t warmupOps;
-        auto operator<=>(const Key &) const = default;
-    };
-    // Strong entries: a trace is a few MB and the key space of one
-    // process (workloads x one or two op counts) stays tiny, while
-    // a run that releases its reference must not evict the trace
-    // the next sequential run wants.
-    static net::SharedMemo<Key, std::shared_ptr<const Trace>> memo;
-    return memo.getOrBuild(
-        Key{w, seed, num_ops, warmup_ops}, [&] {
+    return traceMemo().getOrBuild(
+        TraceKey{w, seed, num_ops, warmup_ops}, [&] {
             return std::make_shared<const Trace>(
                 generateTrace(w, seed, num_ops, warmup_ops));
         });
+}
+
+net::MemoStats
+sharedTraceStats()
+{
+    return traceMemo().stats();
 }
 
 } // namespace sf::wl

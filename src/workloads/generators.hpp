@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 
+#include "net/shared_memo.hpp"
 #include "workloads/trace.hpp"
 
 namespace sf::wl {
@@ -64,16 +65,20 @@ Trace generateTrace(Workload w, std::uint64_t seed,
 /**
  * Memoised, thread-safe variant of generateTrace: experiment sweeps
  * replay the identical trace against every network design, and
- * regenerating it per cell (700K warmup ops through the cache
- * hierarchy each time) dominated their runtime. Each key is
- * generated once per process (net::SharedMemo): concurrent first
- * requests wait for that one generation instead of repeating it.
- * The shared pointer keeps entries immutable and safe to hand to
- * concurrent runs.
+ * generating it costs more than replaying it. A quick 10,000-op
+ * trace takes 34-300 ms (700K warmup ops through the cache
+ * hierarchy; grep to matmul, 4-core 2.0 GHz Xeon VM), one replay of
+ * it on a 256-node design ~40-90 ms. Each key is generated once per
+ * process (net::SharedMemo): concurrent first requests wait for
+ * that one generation instead of repeating it. The shared pointer
+ * keeps entries immutable and safe to hand to concurrent runs.
  */
 std::shared_ptr<const Trace>
 sharedTrace(Workload w, std::uint64_t seed,
             std::size_t num_ops = 100000,
             std::size_t warmup_ops = 700000);
+
+/** Hits and builds (misses) of sharedTrace's memo so far. */
+net::MemoStats sharedTraceStats();
 
 } // namespace sf::wl

@@ -23,6 +23,7 @@
 #include "exp/run_store.hpp"
 #include "exp/scheduler.hpp"
 #include "test_util.hpp"
+#include "workloads/generators.hpp"
 
 namespace fs = std::filesystem;
 
@@ -899,6 +900,37 @@ TEST(SfxCli, PolicyReachesTraceReplays)
         EXPECT_GT(greedy, 0.0) << experiment;
         EXPECT_NE(greedy, oracle) << experiment;
     }
+}
+
+/** A non-quiet run reports the trace memo beside the topology
+ *  cache: the five redis cells of Fig 12 request one trace five
+ *  times. --quiet hides the line. */
+TEST(SfxCli, ReportsTraceCacheUnlessQuiet)
+{
+    const std::vector<std::string> args{"sfx", "run",
+                                        "fig12_workloads", "--quick",
+                                        "--runs", "redis/*"};
+    const sf::net::MemoStats before = sf::wl::sharedTraceStats();
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(callSfx(args), 0);
+    const std::string out = testing::internal::GetCapturedStdout();
+    const sf::net::MemoStats after = sf::wl::sharedTraceStats();
+    EXPECT_EQ(after.hits + after.misses,
+              before.hits + before.misses + 5);
+    EXPECT_NE(out.find("trace cache: " + std::to_string(after.hits) +
+                       " hits, " + std::to_string(after.misses) +
+                       " builds\n"),
+              std::string::npos)
+        << out;
+
+    std::vector<std::string> quiet = args;
+    quiet.emplace_back("--quiet");
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(callSfx(quiet), 0);
+    const std::string quiet_out =
+        testing::internal::GetCapturedStdout();
+    EXPECT_EQ(quiet_out.find("trace cache:"), std::string::npos)
+        << quiet_out;
 }
 
 } // namespace
