@@ -37,7 +37,8 @@ std::size_t
 GreedyRouter::candidates(NodeId current, NodeId dest, bool widen,
                          std::span<LinkId> out) const
 {
-    assert(current != dest);
+    // At the destination md_here is 0 and no entry can improve on
+    // it, so the result is 0 candidates (Topology::routeCandidates).
     if (out.empty())
         return 0;
     const std::vector<TableEntry> &entries =

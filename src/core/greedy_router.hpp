@@ -58,8 +58,9 @@ class GreedyRouter
      * Ranked progress set at @p current for destination @p dest,
      * written into the caller-provided @p out (at most out.size()
      * entries, best first; allocation-free). Zero means no strictly
-     * improving neighbour exists (possible only in degraded
-     * reconfiguration states, never on the full topology).
+     * improving neighbour exists: always at @p dest itself, and
+     * elsewhere only in degraded reconfiguration states, never on
+     * the full topology.
      *
      * @param widen When false, at most one candidate is emitted
      *        (non-adaptive hops commit to the greediest choice).

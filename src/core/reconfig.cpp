@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <sstream>
-#include <unordered_set>
 
 namespace sf::core {
 
@@ -20,24 +18,91 @@ canonicalId(const net::Graph &g, LinkId id)
 
 } // namespace
 
-ReconfigEngine::ReconfigEngine(SFTopologyData &data,
-                               RoutingTables &tables)
-    : data_(&data), tables_(&tables)
+LiveRings::LiveRings(const SFTopologyData &data) : data_(&data)
 {
-    const std::size_t n = data_->params.numNodes;
-    const int spaces = data_->spaces.numSpaces();
+    const std::size_t n = data.params.numNodes;
+    const int spaces = data.spaces.numSpaces();
     alive_.assign(n, true);
     numAlive_ = n;
-    liveNext_.assign(spaces, std::vector<NodeId>(n));
-    livePrev_.assign(spaces, std::vector<NodeId>(n));
+    next_.assign(spaces, std::vector<NodeId>(n));
+    prev_.assign(spaces, std::vector<NodeId>(n));
     for (int s = 0; s < spaces; ++s) {
-        const auto &ring = data_->spaces.ring(s);
+        const auto &ring = data.spaces.ring(s);
         for (std::size_t i = 0; i < n; ++i) {
-            liveNext_[s][ring[i]] = ring[(i + 1) % n];
-            livePrev_[s][ring[(i + 1) % n]] = ring[i];
+            next_[s][ring[i]] = ring[(i + 1) % n];
+            prev_[s][ring[(i + 1) % n]] = ring[i];
         }
     }
-    if (tables_->numNodes() != n)
+}
+
+bool
+LiveRings::canGate(NodeId u) const
+{
+    if (!alive_[u] || numAlive_ <= 2)
+        return false;
+    const bool bidir =
+        data_->params.linkMode == LinkMode::Bidirectional;
+    for (std::size_t s = 0; s < next_.size(); ++s) {
+        const NodeId a = prev_[s][u];
+        const NodeId b = next_[s][u];
+        if (a == u || a == b)
+            continue;  // degenerate tiny ring
+        if (data_->wireExists(a, b))
+            continue;
+        if (bidir && data_->wireExists(b, a))
+            continue;
+        return false;  // no fabricated wire spans the hole
+    }
+    return true;
+}
+
+void
+LiveRings::remove(NodeId u)
+{
+    assert(alive_[u]);
+    for (std::size_t s = 0; s < next_.size(); ++s) {
+        const NodeId a = prev_[s][u];
+        const NodeId b = next_[s][u];
+        next_[s][a] = b;
+        prev_[s][b] = a;
+    }
+    alive_[u] = false;
+    --numAlive_;
+}
+
+void
+LiveRings::insert(NodeId u)
+{
+    assert(!alive_[u]);
+    alive_[u] = true;
+    ++numAlive_;
+    for (int s = 0; s < numSpaces(); ++s) {
+        if (numAlive_ == 1) {
+            next_[s][u] = u;
+            prev_[s][u] = u;
+            continue;
+        }
+        NodeId a = u;
+        for (std::size_t k = 1;; ++k) {
+            a = data_->spaces.ringBehind(u, s, k);
+            if (alive_[a])
+                break;
+        }
+        const NodeId b = next_[s][a];
+        next_[s][a] = u;
+        prev_[s][u] = a;
+        next_[s][u] = b;
+        prev_[s][b] = u;
+    }
+}
+
+ReconfigEngine::ReconfigEngine(SFTopologyData &data,
+                               RoutingTables &tables)
+    : data_(&data), tables_(&tables), rings_(data),
+      nodeMark_(data.params.numNodes, 0),
+      wireMark_(data.graph.numLinks(), 0)
+{
+    if (tables_->numNodes() != data_->params.numNodes)
         tables_->rebuildAll(data_->graph);
 }
 
@@ -56,8 +121,8 @@ ReconfigEngine::wireEnabled(LinkId id) const
 bool
 ReconfigEngine::ringUse(NodeId a, NodeId b) const
 {
-    for (const auto &next : liveNext_) {
-        if (next[a] == b)
+    for (int s = 0; s < rings_.numSpaces(); ++s) {
+        if (rings_.next(s, a) == b)
             return true;
     }
     return false;
@@ -67,7 +132,8 @@ bool
 ReconfigEngine::wireDesired(LinkId id) const
 {
     const net::Link &l = data_->graph.link(id);
-    if (!alive_[l.src] || !alive_[l.dst] || l.src == l.dst)
+    if (!rings_.alive(l.src) || !rings_.alive(l.dst) ||
+        l.src == l.dst)
         return false;
     if (ringUse(l.src, l.dst))
         return true;
@@ -94,6 +160,9 @@ ReconfigEngine::enableWire(LinkId id)
     data_->graph.setWireEnabled(id, true);
     ++data_->portsUsed[l.src];
     ++data_->portsUsed[l.dst];
+    flipped_.push_back(id);
+    if (l.pairId != kInvalidLink)
+        flipped_.push_back(l.pairId);
 }
 
 void
@@ -104,6 +173,9 @@ ReconfigEngine::disableWire(LinkId id)
     data_->graph.setWireEnabled(id, false);
     --data_->portsUsed[l.src];
     --data_->portsUsed[l.dst];
+    flipped_.push_back(id);
+    if (l.pairId != kInvalidLink)
+        flipped_.push_back(l.pairId);
 }
 
 bool
@@ -148,14 +220,17 @@ void
 ReconfigEngine::settleWires(const std::vector<LinkId> &candidates,
                             ReconfigResult &result)
 {
-    // Dedupe to canonical wire handles.
+    // Dedupe to canonical wire handles, first occurrence first.
     std::vector<LinkId> wires;
     for (LinkId id : candidates) {
         const LinkId canon = canonicalId(data_->graph, id);
-        if (std::find(wires.begin(), wires.end(), canon) ==
-            wires.end())
+        if (!wireMark_[canon]) {
+            wireMark_[canon] = 1;
             wires.push_back(canon);
+        }
     }
+    for (LinkId id : wires)
+        wireMark_[id] = 0;
 
     // Pass 1: drop wires that lost their purpose (frees ports).
     for (LinkId id : wires) {
@@ -173,7 +248,8 @@ ReconfigEngine::settleWires(const std::vector<LinkId> &candidates,
                              const net::Link &l =
                                  data_->graph.link(id);
                              const bool ring =
-                                 alive_[l.src] && alive_[l.dst] &&
+                                 rings_.alive(l.src) &&
+                                 rings_.alive(l.dst) &&
                                  (ringUse(l.src, l.dst) ||
                                   (bidir() &&
                                    ringUse(l.dst, l.src)));
@@ -229,61 +305,71 @@ ReconfigEngine::incidentWires(const std::vector<NodeId> &nodes) const
     return wires;
 }
 
-std::vector<NodeId>
-ReconfigEngine::tableScope(const std::vector<NodeId> &changed) const
+void
+ReconfigEngine::blockEntriesFor(NodeId u)
 {
+    // A table holds an entry for u when u is one of its node's
+    // enabled out-neighbours or theirs: walk enabled in-links twice.
     const net::Graph &g = data_->graph;
-    std::unordered_set<NodeId> scope;
-    const auto add_sources = [&](NodeId c, auto &&self,
-                                 int depth) -> void {
-        scope.insert(c);
-        if (depth == 0)
-            return;
-        for (LinkId id : g.inLinks(c)) {
-            if (g.link(id).enabled)
-                self(g.link(id).src, self, depth - 1);
+    std::vector<NodeId> holders;
+    const auto add = [&](NodeId x) {
+        if (x != u && !nodeMark_[x]) {
+            nodeMark_[x] = 1;
+            holders.push_back(x);
         }
     };
-    for (NodeId c : changed)
-        add_sources(c, add_sources, 2);
-    return {scope.begin(), scope.end()};
+    for (LinkId id : g.inLinks(u)) {
+        if (g.link(id).enabled)
+            add(g.link(id).src);
+    }
+    const std::size_t one_hop = holders.size();
+    for (std::size_t i = 0; i < one_hop; ++i) {
+        for (LinkId id : g.inLinks(holders[i])) {
+            if (g.link(id).enabled)
+                add(g.link(id).src);
+        }
+    }
+    for (NodeId x : holders) {
+        nodeMark_[x] = 0;
+        tables_->table(x).setBlocking(u, true);
+        ++stats_.entriesBlocked;
+    }
 }
 
 void
-ReconfigEngine::rebuildTables(const std::vector<NodeId> &scope,
-                              ReconfigResult &result)
+ReconfigEngine::rebuildChangedTables(ReconfigResult &result)
 {
+    const net::Graph &g = data_->graph;
+    std::vector<NodeId> scope;
+    const auto add = [&](NodeId x) {
+        if (!nodeMark_[x]) {
+            nodeMark_[x] = 1;
+            scope.push_back(x);
+        }
+    };
+    for (LinkId id : flipped_)
+        add(g.link(id).src);
+    const std::size_t sources = scope.size();
+    for (std::size_t i = 0; i < sources; ++i) {
+        for (LinkId id : g.inLinks(scope[i])) {
+            if (g.link(id).enabled)
+                add(g.link(id).src);
+        }
+    }
+    flipped_.clear();
     for (NodeId x : scope) {
-        tables_->rebuildNode(x, data_->graph);
+        nodeMark_[x] = 0;
+        tables_->rebuildNode(x, g);
         ++result.tablesRebuilt;
         ++stats_.tableRebuilds;
     }
-}
-
-bool
-ReconfigEngine::canGate(NodeId u) const
-{
-    if (!alive_[u] || numAlive_ <= 2)
-        return false;
-    for (std::size_t s = 0; s < liveNext_.size(); ++s) {
-        const NodeId a = livePrev_[s][u];
-        const NodeId b = liveNext_[s][u];
-        if (a == u || a == b)
-            continue;  // degenerate tiny ring
-        if (data_->wireExists(a, b))
-            continue;
-        if (bidir() && data_->wireExists(b, a))
-            continue;
-        return false;  // no fabricated wire spans the hole
-    }
-    return true;
 }
 
 ReconfigResult
 ReconfigEngine::gate(NodeId u)
 {
     ReconfigResult result;
-    if (!alive_[u])
+    if (!rings_.alive(u))
         return result;
     result.applied = true;
     ++stats_.gateOps;
@@ -304,30 +390,21 @@ ReconfigEngine::gate(NodeId u)
         note_node(g.link(id).src);
 
     // Phase 1: block every table entry that refers to the victim.
-    const auto pre_scope = tableScope(changed);
-    for (NodeId x : pre_scope) {
-        if (x != u) {
-            tables_->table(x).setBlocking(u, true);
-            ++stats_.entriesBlocked;
-        }
-    }
+    blockEntriesFor(u);
 
     // Phase 2a: unlink the victim from every live ring.
     struct Hole { NodeId a; NodeId b; };
     std::vector<Hole> holes;
     for (int s = 0; s < spaces; ++s) {
-        const NodeId a = livePrev_[s][u];
-        const NodeId b = liveNext_[s][u];
-        liveNext_[s][a] = b;
-        livePrev_[s][b] = a;
+        const NodeId a = rings_.prev(s, u);
+        const NodeId b = rings_.next(s, u);
         if (a != u && a != b) {
             holes.push_back(Hole{a, b});
             note_node(a);
             note_node(b);
         }
     }
-    alive_[u] = false;
-    --numAlive_;
+    rings_.remove(u);
 
     // Phase 2b: drop the victim's wires, raise the spare wires.
     settleWires(incidentWires(changed), result);
@@ -348,11 +425,7 @@ ReconfigEngine::gate(NodeId u)
 
     // Phases 3 + 4: re-validate (rebuild) every affected table;
     // fresh entries carry cleared blocking bits, which unblocks.
-    auto scope = tableScope(changed);
-    scope.insert(scope.end(), pre_scope.begin(), pre_scope.end());
-    std::sort(scope.begin(), scope.end());
-    scope.erase(std::unique(scope.begin(), scope.end()), scope.end());
-    rebuildTables(scope, result);
+    rebuildChangedTables(result);
     return result;
 }
 
@@ -360,7 +433,7 @@ ReconfigResult
 ReconfigEngine::ungate(NodeId u)
 {
     ReconfigResult result;
-    if (alive_[u])
+    if (rings_.alive(u))
         return result;
     result.applied = true;
     ++stats_.ungateOps;
@@ -377,32 +450,14 @@ ReconfigEngine::ungate(NodeId u)
         note_node(g.link(id).dst);
     for (LinkId id : g.inLinks(u))
         note_node(g.link(id).src);
-    const auto pre_scope = tableScope(changed);
 
     // Re-insert into every live ring between the nearest live
     // static neighbours; the old closure wire (if any) becomes a
     // candidate for removal.
-    alive_[u] = true;
-    ++numAlive_;
+    rings_.insert(u);
     for (int s = 0; s < spaces; ++s) {
-        if (numAlive_ == 1) {
-            liveNext_[s][u] = u;
-            livePrev_[s][u] = u;
-            continue;
-        }
-        NodeId a = u;
-        for (std::size_t k = 1;; ++k) {
-            a = data_->spaces.ringBehind(u, s, k);
-            if (alive_[a])
-                break;
-        }
-        const NodeId b = liveNext_[s][a];
-        liveNext_[s][a] = u;
-        livePrev_[s][u] = a;
-        liveNext_[s][u] = b;
-        livePrev_[s][b] = u;
-        note_node(a);
-        note_node(b);
+        note_node(rings_.prev(s, u));
+        note_node(rings_.next(s, u));
     }
 
     settleWires(incidentWires(changed), result);
@@ -410,8 +465,8 @@ ReconfigEngine::ungate(NodeId u)
     // Holes left around the revived node (wire missing or starved).
     for (int s = 0; s < spaces; ++s) {
         for (const auto &[from, to] :
-             {std::pair{livePrev_[s][u], u},
-              std::pair{u, liveNext_[s][u]}}) {
+             {std::pair{rings_.prev(s, u), u},
+              std::pair{u, rings_.next(s, u)}}) {
             if (from == to)
                 continue;
             LinkId id = data_->findWire(from, to);
@@ -427,43 +482,26 @@ ReconfigEngine::ungate(NodeId u)
         }
     }
 
-    auto scope = tableScope(changed);
-    scope.insert(scope.end(), pre_scope.begin(), pre_scope.end());
-    std::sort(scope.begin(), scope.end());
-    scope.erase(std::unique(scope.begin(), scope.end()), scope.end());
-    rebuildTables(scope, result);
+    rebuildChangedTables(result);
     return result;
 }
 
 std::vector<NodeId>
 ReconfigEngine::gateRandom(std::size_t target, Rng &rng)
 {
-    std::vector<NodeId> order(data_->params.numNodes);
-    std::iota(order.begin(), order.end(), 0u);
-    rng.shuffle(order);
-
-    std::vector<NodeId> gated;
-    for (NodeId u : order) {
-        if (gated.size() >= target || numAlive_ <= 8)
-            break;
-        if (!alive_[u] || !canGate(u))
-            continue;
-        const ReconfigResult r = gate(u);
-        if (r.applied)
-            gated.push_back(u);
-    }
-    return gated;
+    return gateInRandomOrder(rings_, target, rng,
+                             [this](NodeId u) { gate(u); });
 }
 
 int
 ReconfigEngine::currentHoles() const
 {
     int holes = 0;
-    for (std::size_t s = 0; s < liveNext_.size(); ++s) {
-        for (NodeId a = 0; a < alive_.size(); ++a) {
-            if (!alive_[a])
+    for (int s = 0; s < rings_.numSpaces(); ++s) {
+        for (NodeId a = 0; a < rings_.aliveMask().size(); ++a) {
+            if (!rings_.alive(a))
                 continue;
-            const NodeId b = liveNext_[s][a];
+            const NodeId b = rings_.next(s, a);
             if (b == a)
                 continue;
             LinkId id = data_->findWire(a, b);
@@ -487,7 +525,7 @@ ReconfigEngine::checkInvariants() const
     std::ostringstream os;
 
     // Port accounting matches enabled wires; budgets respected.
-    std::vector<int> ports(alive_.size(), 0);
+    std::vector<int> ports(rings_.aliveMask().size(), 0);
     for (LinkId id = 0;
          id < static_cast<LinkId>(g.numLinks()); ++id) {
         const net::Link &l = g.link(id);
@@ -496,7 +534,7 @@ ReconfigEngine::checkInvariants() const
         ++ports[l.src];
         ++ports[l.dst];
     }
-    for (NodeId u = 0; u < alive_.size(); ++u) {
+    for (NodeId u = 0; u < rings_.aliveMask().size(); ++u) {
         if (ports[u] != data_->portsUsed[u]) {
             os << "port count mismatch at node " << u << ": "
                << ports[u] << " vs " << data_->portsUsed[u];
@@ -506,7 +544,7 @@ ReconfigEngine::checkInvariants() const
             os << "port budget exceeded at node " << u;
             return os.str();
         }
-        if (!alive_[u] && ports[u] != 0) {
+        if (!rings_.alive(u) && ports[u] != 0) {
             os << "gated node " << u << " still has enabled wires";
             return os.str();
         }
@@ -527,10 +565,10 @@ ReconfigEngine::checkInvariants() const
     }
 
     // Live ring lists are permutations of the live set.
-    for (std::size_t s = 0; s < liveNext_.size(); ++s) {
+    for (int s = 0; s < rings_.numSpaces(); ++s) {
         NodeId start = kInvalidNode;
-        for (NodeId u = 0; u < alive_.size(); ++u) {
-            if (alive_[u]) {
+        for (NodeId u = 0; u < rings_.aliveMask().size(); ++u) {
+            if (rings_.alive(u)) {
                 start = u;
                 break;
             }
@@ -540,21 +578,21 @@ ReconfigEngine::checkInvariants() const
         std::size_t count = 0;
         NodeId at = start;
         do {
-            if (!alive_[at]) {
+            if (!rings_.alive(at)) {
                 os << "dead node " << at << " on live ring " << s;
                 return os.str();
             }
-            if (livePrev_[s][liveNext_[s][at]] != at) {
+            if (rings_.prev(s, rings_.next(s, at)) != at) {
                 os << "ring list corrupt at node " << at
                    << " space " << s;
                 return os.str();
             }
-            at = liveNext_[s][at];
+            at = rings_.next(s, at);
             ++count;
-        } while (at != start && count <= alive_.size());
-        if (count != numAlive_) {
+        } while (at != start && count <= rings_.aliveMask().size());
+        if (count != rings_.numAlive()) {
             os << "live ring " << s << " visits " << count
-               << " nodes, expected " << numAlive_;
+               << " nodes, expected " << rings_.numAlive();
             return os.str();
         }
     }

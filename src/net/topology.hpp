@@ -70,9 +70,11 @@ class Topology
      * Candidate output links for a packet at @p current heading to
      * @p dest, in decreasing order of preference. Candidates beyond
      * the first are alternatives an adaptive selector may use.
-     * Zero means no enabled progress-making link exists (only
-     * possible during/after reconfiguration in degraded modes;
-     * callers fall back or count a stall).
+     * Zero means no enabled progress-making link exists: always
+     * when @p current == @p dest (every topology and routing policy
+     * answers 0 there; the engine delivers before it routes), and
+     * otherwise only during/after reconfiguration in degraded modes
+     * (callers fall back or count a stall).
      *
      * Writes at most @c out.size() link ids into @p out — the
      * caller owns the storage, so the per-hop fast path allocates

@@ -19,8 +19,10 @@ UpDownRouting::UpDownRouting(const Graph &g,
                              const std::vector<bool> &alive)
     : n_(g.numNodes())
 {
-    const auto is_alive = [&](NodeId u) {
-        return alive.empty() || alive[u];
+    const std::vector<bool> live =
+        alive.empty() ? std::vector<bool>(n_, true) : alive;
+    const auto usable = [&](const Link &l) {
+        return l.enabled && live[l.src] && live[l.dst];
     };
 
     // Tree levels: BFS from the first live node over the enabled
@@ -30,95 +32,113 @@ UpDownRouting::UpDownRouting(const Graph &g,
     for (LinkId id = 0;
          id < static_cast<LinkId>(g.numLinks()); ++id) {
         const Link &l = g.link(id);
-        if (l.enabled && is_alive(l.src) && is_alive(l.dst)) {
+        if (usable(l)) {
             undirected.addLink(l.src, l.dst);
             undirected.addLink(l.dst, l.src);
         }
     }
-    NodeId root = kInvalidNode;
-    for (NodeId u = 0; u < n_ && root == kInvalidNode; ++u) {
-        if (is_alive(u))
-            root = u;
-    }
-    level_.assign(n_, kUnreachable);
-    if (root != kInvalidNode)
-        level_ = bfsDistances(undirected, root);
+    const auto root = std::find(live.begin(), live.end(), true);
+    std::vector<std::uint16_t> level(n_, kUnreachable);
+    if (root != live.end())
+        level = bfsDistances(
+            undirected, static_cast<NodeId>(root - live.begin()));
 
     // Link classification: "up" strictly ascends (level, id).
     isUp_.assign(g.numLinks(), false);
     for (LinkId id = 0;
          id < static_cast<LinkId>(g.numLinks()); ++id) {
         const Link &l = g.link(id);
-        isUp_[id] = std::pair(level_[l.dst], l.dst) <
-                    std::pair(level_[l.src], l.src);
+        isUp_[id] = std::pair(level[l.dst], l.dst) <
+                    std::pair(level[l.src], l.src);
     }
 
     // Node processing order for the up-phase DP: ascending (level,
     // id), so every up link's target is processed before its source.
-    std::vector<NodeId> order(n_);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-        return std::pair(level_[a], a) < std::pair(level_[b], b);
+    order_.resize(n_);
+    std::iota(order_.begin(), order_.end(), 0u);
+    std::sort(order_.begin(), order_.end(), [&](NodeId a, NodeId b) {
+        return std::pair(level[a], a) < std::pair(level[b], b);
     });
 
-    nextUpPhase_.assign(n_ * n_, kInvalidLink);
-    nextDownPhase_.assign(n_ * n_, kInvalidLink);
-    std::vector<std::uint32_t> d_down(n_);
-    std::vector<std::uint32_t> d_any(n_);
-
-    for (NodeId t = 0; t < n_; ++t) {
-        if (!is_alive(t))
-            continue;
-        // Down-phase distances: BFS from t over reversed down links.
-        std::fill(d_down.begin(), d_down.end(), kInf);
-        d_down[t] = 0;
-        std::vector<NodeId> queue{t};
-        for (std::size_t head = 0; head < queue.size(); ++head) {
-            const NodeId v = queue[head];
-            for (LinkId id : g.inLinks(v)) {
-                const Link &l = g.link(id);
-                if (!l.enabled || isUp_[id] || !is_alive(l.src))
-                    continue;
-                if (d_down[l.src] == kInf) {
-                    d_down[l.src] = d_down[v] + 1;
-                    queue.push_back(l.src);
-                }
+    // The enabled live links the columns read, copied.
+    outStart_.assign(n_ + 1, 0);
+    downInStart_.assign(n_ + 1, 0);
+    for (NodeId u = 0; u < n_; ++u) {
+        for (LinkId id : g.outLinks(u)) {
+            if (usable(g.link(id))) {
+                outLink_.push_back(id);
+                outDst_.push_back(g.link(id).dst);
             }
         }
-        for (NodeId u = 0; u < n_; ++u) {
-            if (d_down[u] == kInf || u == t || !is_alive(u))
-                continue;
-            for (LinkId id : g.outLinks(u)) {
-                const Link &l = g.link(id);
-                if (l.enabled && !isUp_[id] && is_alive(l.dst) &&
-                    d_down[l.dst] + 1 == d_down[u]) {
-                    nextDownPhase_[u * n_ + t] = id;
-                    break;
-                }
-            }
+        for (LinkId id : g.inLinks(u)) {
+            if (usable(g.link(id)) && !isUp_[id])
+                downInSrc_.push_back(g.link(id).src);
         }
+        outStart_[u + 1] = static_cast<std::uint32_t>(outLink_.size());
+        downInStart_[u + 1] =
+            static_cast<std::uint32_t>(downInSrc_.size());
+    }
+    column_.assign(n_, kNoColumn);
+}
 
-        // Up-phase DP in ascending (level, id) order: an up link's
-        // destination always precedes its source, so d_any of the
-        // target is final when the source is processed.
-        std::copy(d_down.begin(), d_down.end(), d_any.begin());
-        for (NodeId u : order) {
-            if (u == t || !is_alive(u))
-                continue;
-            LinkId best_link = nextDownPhase_[u * n_ + t];
-            for (LinkId id : g.outLinks(u)) {
-                const Link &l = g.link(id);
-                if (!l.enabled || !isUp_[id] || !is_alive(l.dst))
-                    continue;
-                if (d_any[l.dst] != kInf &&
-                    d_any[l.dst] + 1 < d_any[u]) {
-                    d_any[u] = d_any[l.dst] + 1;
-                    best_link = id;
-                }
+std::uint32_t
+UpDownRouting::buildColumn(NodeId t) const
+{
+    const auto c = static_cast<std::uint32_t>(columns_.size() / (2 * n_));
+    columns_.resize(columns_.size() + 2 * n_, kInvalidLink);
+    LinkId *up = columns_.data() + std::size_t{c} * 2 * n_;
+    LinkId *down = up + n_;
+
+    // Down-phase distances: BFS from t over reversed down links.
+    dDown_.assign(n_, kInf);
+    dDown_[t] = 0;
+    queue_.assign(1, t);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+        const NodeId v = queue_[head];
+        for (std::uint32_t k = downInStart_[v]; k < downInStart_[v + 1];
+             ++k) {
+            const NodeId src = downInSrc_[k];
+            if (dDown_[src] == kInf) {
+                dDown_[src] = dDown_[v] + 1;
+                queue_.push_back(src);
             }
-            nextUpPhase_[u * n_ + t] = best_link;
         }
     }
+    for (NodeId u = 0; u < n_; ++u) {
+        if (dDown_[u] == kInf || u == t)
+            continue;
+        for (std::uint32_t k = outStart_[u]; k < outStart_[u + 1];
+             ++k) {
+            if (!isUp_[outLink_[k]] &&
+                dDown_[outDst_[k]] + 1 == dDown_[u]) {
+                down[u] = outLink_[k];
+                break;
+            }
+        }
+    }
+
+    // Up-phase DP in ascending (level, id) order: an up link's
+    // destination always precedes its source, so dAny of the
+    // target is final when the source is processed.
+    dAny_ = dDown_;
+    for (NodeId u : order_) {
+        if (u == t)
+            continue;
+        LinkId best_link = down[u];
+        for (std::uint32_t k = outStart_[u]; k < outStart_[u + 1];
+             ++k) {
+            const NodeId dst = outDst_[k];
+            if (!isUp_[outLink_[k]] || dAny_[dst] == kInf)
+                continue;
+            if (dAny_[dst] + 1 < dAny_[u]) {
+                dAny_[u] = dAny_[dst] + 1;
+                best_link = outLink_[k];
+            }
+        }
+        up[u] = best_link;
+    }
+    column_[t] = c;
+    return c;
 }
 
 LinkId
@@ -127,8 +147,11 @@ UpDownRouting::nextLink(NodeId u, NodeId dest,
 {
     if (u == dest)
         return kInvalidLink;
-    return up_phase_allowed ? nextUpPhase_[u * n_ + dest]
-                            : nextDownPhase_[u * n_ + dest];
+    std::uint32_t c = column_[dest];
+    if (c == kNoColumn)
+        c = buildColumn(dest);
+    const std::size_t base = std::size_t{c} * 2 * n_;
+    return columns_[base + (up_phase_allowed ? 0 : n_) + u];
 }
 
 } // namespace sf::net

@@ -23,11 +23,11 @@
  *  - Join: up-scale (planned rejoin or repair completion).
  *
  * Schedules are pure functions of (severity, topology params,
- * phase lengths, seed): planning gates victims on a private
- * scratch StringFigure, never on the instance being simulated, so
- * planning is side-effect free and the apply-time outcome of every
- * Leave matches the plan exactly (gate feasibility depends only on
- * liveness, never on traffic).
+ * phase lengths, seed): planning chooses victims on a private
+ * core::LiveRings over the topology's wire inventory, never on the
+ * instance being simulated, so planning is side-effect free and the
+ * apply-time outcome of every Leave matches the plan exactly (gate
+ * feasibility depends only on liveness, never on traffic).
  */
 
 #pragma once
@@ -84,9 +84,10 @@ bool isReconfigSeverity(std::string_view name);
  * Plan the @p severity schedule for a String Figure built from
  * @p params, with events placed inside the measure window
  * [@p warmup, @p warmup + @p measure). Victim selection draws from
- * @p seed on a scratch topology; the result is a pure function of
+ * @p seed on scratch live rings; the result is a pure function of
  * the arguments. Throws std::invalid_argument for an unknown
- * severity name.
+ * severity name, and for "leave_join" or "fail" when no node of the
+ * topology can be gated.
  */
 ReconfigSchedule planReconfigSchedule(std::string_view severity,
                                       const core::SFParams &params,

@@ -183,11 +183,11 @@ runLoop(NetworkModel &net, const std::vector<NodeId> &nodes,
         if (applied > 0)
             net.onTopologyChanged();
 #ifdef NDEBUG
-        const bool validate = cfg.validateReconfig;
+        constexpr bool kAlwaysValidate = false;
 #else
-        const bool validate = true;
+        constexpr bool kAlwaysValidate = true;  // Debug audits every wave
 #endif
-        if (validate) {
+        if (kAlwaysValidate || cfg.validateReconfig) {
             const std::string err =
                 elastic->reconfig().checkInvariants();
             if (!err.empty())

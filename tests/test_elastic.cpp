@@ -19,6 +19,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/string_figure.hpp"
@@ -131,6 +132,139 @@ TEST(ReconfigSchedule, SeverityShapes)
     }
     EXPECT_EQ(leaves, joins);
     EXPECT_GE(leaves, params.numNodes / 4);
+}
+
+/**
+ * The planner as it was before it ran on core::LiveRings: victims
+ * chosen by gating a scratch StringFigure. Returns false where that
+ * planner had no gateable node to draw from (undefined behaviour
+ * there; the live-rings planner throws).
+ */
+bool
+scratchTopologyPlan(std::string_view severity,
+                    const core::SFParams &params, Cycle warmup,
+                    Cycle measure, std::uint64_t seed,
+                    core::StringFigure &scratch, ReconfigSchedule &s)
+{
+    constexpr std::uint64_t kScheduleSalt = 0xe1a57c5c7ed01e5ULL;
+    Rng rng(seed ^ kScheduleSalt);
+    s.events.clear();
+    const auto at = [&](Cycle num, Cycle den) {
+        return warmup + measure * num / den;
+    };
+    const auto pick = [&](NodeId &out) {
+        std::vector<NodeId> eligible;
+        for (NodeId u = 0; u < scratch.numNodes(); ++u) {
+            if (scratch.nodeAlive(u) && scratch.reconfig().canGate(u))
+                eligible.push_back(u);
+        }
+        if (eligible.empty())
+            return false;
+        out = eligible[rng.below(eligible.size())];
+        return true;
+    };
+    if (severity == "leave_join") {
+        NodeId victim = kInvalidNode;
+        if (!pick(victim))
+            return false;
+        s.events.push_back({at(1, 4), ReconfigAction::Leave, victim});
+        s.events.push_back({at(5, 8), ReconfigAction::Join, victim});
+    } else if (severity == "fail") {
+        NodeId planned = kInvalidNode;
+        if (!pick(planned))
+            return false;
+        const NodeId casualty = scratch.reconfig().liveNext(0, planned);
+        s.events.push_back({at(1, 5), ReconfigAction::Leave, planned});
+        s.events.push_back({at(2, 5), ReconfigAction::Fail, casualty});
+        s.events.push_back({at(3, 5), ReconfigAction::Join, casualty});
+        s.events.push_back({at(4, 5), ReconfigAction::Join, planned});
+    } else {
+        const std::size_t n = params.numNodes;
+        const std::vector<NodeId> victims =
+            scratch.reduceTo(n - n / 2, rng);
+        const std::size_t half = victims.size() / 2;
+        for (std::size_t i = 0; i < victims.size(); ++i) {
+            const Cycle when = i < half ? at(1, 8) : at(2, 8);
+            s.events.push_back(
+                {when, ReconfigAction::Leave, victims[i]});
+        }
+        for (std::size_t i = victims.size(); i > 0; --i) {
+            const Cycle when = i > half ? at(4, 8) : at(5, 8);
+            s.events.push_back(
+                {when, ReconfigAction::Join, victims[i - 1]});
+        }
+    }
+    return true;
+}
+
+TEST(ReconfigSchedule, LiveRingsPlanMatchesScratchTopologyPlan)
+{
+    std::size_t plannable = 0;
+    for (const std::size_t n : {16, 32, 64, 100, 256, 1024}) {
+        for (const core::LinkMode mode :
+             {core::LinkMode::Unidirectional,
+              core::LinkMode::Bidirectional}) {
+            for (const core::RepairMode repair :
+                 {core::RepairMode::AllSpaces,
+                  core::RepairMode::ShortcutsOnly}) {
+                for (const std::uint64_t seed : {2019u, 7u, 3u}) {
+                    if (n == 1024 && seed != 2019)
+                        continue;
+                    core::SFParams p = topos::defaultSfParams(n, seed);
+                    p.linkMode = mode;
+                    p.repairMode = repair;
+                    // leave_join and fail never gate the scratch
+                    // topology, so cascade may run on it last.
+                    core::StringFigure scratch(p);
+                    for (const auto severity : kAllReconfigSeverities) {
+                        const std::uint64_t plan_seed = seed * 31 + n;
+                        ReconfigSchedule want;
+                        const bool ok = scratchTopologyPlan(
+                            severity, p, kPhases.warmup,
+                            kPhases.measure, plan_seed, scratch, want);
+                        const std::string what =
+                            std::string(severity) + " n" +
+                            std::to_string(n) + " seed " +
+                            std::to_string(seed);
+                        if (!ok) {
+                            EXPECT_THROW(planReconfigSchedule(
+                                             severity, p, kPhases.warmup,
+                                             kPhases.measure, plan_seed),
+                                         std::invalid_argument)
+                                << what;
+                            continue;
+                        }
+                        ++plannable;
+                        const auto got = planReconfigSchedule(
+                            severity, p, kPhases.warmup,
+                            kPhases.measure, plan_seed);
+                        EXPECT_TRUE(sameSchedule(got, want)) << what;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(plannable, 150u);
+}
+
+TEST(ReconfigSchedule, NoGateableNodeThrows)
+{
+    // ShortcutsOnly repair in unidirectional mode fabricates no wire
+    // that spans any single-node hole at this scale.
+    core::SFParams p = topos::defaultSfParams(32, 2021);
+    p.linkMode = core::LinkMode::Unidirectional;
+    p.repairMode = core::RepairMode::ShortcutsOnly;
+    for (const char *severity : {"leave_join", "fail"}) {
+        try {
+            planReconfigSchedule(severity, p, kPhases.warmup,
+                                 kPhases.measure, 7);
+            ADD_FAILURE() << severity << " planned without a victim";
+        } catch (const std::invalid_argument &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(severity), std::string::npos) << msg;
+            EXPECT_NE(msg.find("32-node"), std::string::npos) << msg;
+        }
+    }
 }
 
 // --------------------------------------------------- direct elastic

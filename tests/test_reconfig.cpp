@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "core/string_figure.hpp"
 #include "net/paths.hpp"
@@ -303,5 +305,163 @@ INSTANTIATE_TEST_SUITE_P(
     ScalesAndRadix, ReconfigSweep,
     ::testing::Combine(::testing::Values(32, 61, 96, 128),
                        ::testing::Values(4, 6, 8)));
+
+// --------------------------------- exactness of the rebuild rule
+
+/** FNV-1a over the little-endian bytes of each value added. */
+struct Fnv1a {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/** Every table entry equals a fresh rebuild's, field by field. */
+void
+expectTablesFresh(const StringFigure &net, const std::string &where)
+{
+    for (NodeId x = 0; x < net.numNodes(); ++x) {
+        RoutingTable fresh;
+        fresh.rebuild(x, net.graph());
+        const auto &got = net.tables().table(x).entries();
+        const auto &want = fresh.entries();
+        ASSERT_EQ(got.size(), want.size()) << where << " node " << x;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const TableEntry &a = got[i];
+            const TableEntry &b = want[i];
+            ASSERT_TRUE(a.node == b.node && a.viaLink == b.viaLink &&
+                        a.hops == b.hops && a.valid == b.valid &&
+                        a.blocking == b.blocking &&
+                        a.viaEntry == b.viaEntry)
+                << where << " node " << x << " entry " << i;
+        }
+    }
+}
+
+struct SequenceDigests {
+    std::uint64_t results = 0;  ///< ReconfigResults but tablesRebuilt
+    std::uint64_t links = 0;    ///< enabled-link set after each op
+};
+
+/**
+ * Gate and ungate random nodes: a picked live node is gated when
+ * canGate accepts it, and one pick in four gates it regardless (an
+ * unplanned failure); a picked gated node is ungated. After every
+ * operation each table must equal a fresh rebuild and the engine's
+ * invariants must hold.
+ */
+SequenceDigests
+runGateSequence(StringFigure &net, std::uint64_t seed, int steps,
+                const std::string &name)
+{
+    Rng rng(seed);
+    Fnv1a results;
+    Fnv1a links;
+    const net::Graph &g = net.graph();
+    for (int step = 0; step < steps; ++step) {
+        const auto u = static_cast<NodeId>(rng.below(net.numNodes()));
+        ReconfigResult r;
+        if (net.nodeAlive(u)) {
+            const bool forced = rng.below(4) == 0;
+            if (!forced && !net.reconfig().canGate(u))
+                continue;
+            r = net.gate(u);
+        } else {
+            r = net.ungate(u);
+        }
+        for (const std::uint64_t v :
+             {std::uint64_t{u}, std::uint64_t{r.applied},
+              std::uint64_t(r.closuresEnabled),
+              std::uint64_t(r.wiresDisabled),
+              std::uint64_t(r.wiresEnabled),
+              std::uint64_t(r.holes)})
+            results.add(v);
+        std::uint64_t word = 0;
+        for (LinkId id = 0; id < static_cast<LinkId>(g.numLinks());
+             ++id) {
+            word = (word << 1) | (g.link(id).enabled ? 1 : 0);
+            if (id % 64 == 63) {
+                links.add(word);
+                word = 0;
+            }
+        }
+        links.add(word);
+        std::ostringstream where;
+        where << name << " step " << step;
+        EXPECT_EQ(net.reconfig().checkInvariants(), "") << where.str();
+        expectTablesFresh(net, where.str());
+        if (::testing::Test::HasFatalFailure())
+            break;
+    }
+    return {results.h, links.h};
+}
+
+TEST(Reconfig, LocalRebuildMatchesFreshTablesAndParentDigests)
+{
+    // Digests recorded from the engine that rebuilt every table
+    // within two in-hops of any node whose wires could change.
+    struct Case {
+        std::size_t n;
+        LinkMode mode;
+        RepairMode repair;
+        std::uint64_t results;
+        std::uint64_t links;
+    };
+    const Case cases[] = {
+        {32, LinkMode::Unidirectional, RepairMode::AllSpaces,
+         0xa13d3972c204059fULL, 0x97b61f6089a98f2dULL},
+        {32, LinkMode::Unidirectional, RepairMode::ShortcutsOnly,
+         0x878ca543293be5abULL, 0x2e76a1c2a23ced41ULL},
+        {32, LinkMode::Bidirectional, RepairMode::AllSpaces,
+         0x1cb242f831eff0aeULL, 0xd3dc19e63dd4fe47ULL},
+        {32, LinkMode::Bidirectional, RepairMode::ShortcutsOnly,
+         0x3a58b862bb41d89aULL, 0xa063cdacf23d11dfULL},
+        {64, LinkMode::Unidirectional, RepairMode::AllSpaces,
+         0xc0f3d730214d138cULL, 0x8a9c1e251a6310dcULL},
+        {64, LinkMode::Unidirectional, RepairMode::ShortcutsOnly,
+         0x24cbf90bd7277bf6ULL, 0xd123e1469d2f9f09ULL},
+        {64, LinkMode::Bidirectional, RepairMode::AllSpaces,
+         0xb7a3ce42676d3f1dULL, 0x00a7cd0d5b1c7bc6ULL},
+        {64, LinkMode::Bidirectional, RepairMode::ShortcutsOnly,
+         0x2f611c5f290d0d37ULL, 0xb839a5f0000169c7ULL},
+        {100, LinkMode::Unidirectional, RepairMode::AllSpaces,
+         0xb0a75b17acd7bf61ULL, 0x67e0feb86052dd13ULL},
+        {100, LinkMode::Unidirectional, RepairMode::ShortcutsOnly,
+         0x6455a19115c8d50bULL, 0x1df4d2190bd44022ULL},
+        {100, LinkMode::Bidirectional, RepairMode::AllSpaces,
+         0xc193bc6e0e049f12ULL, 0xd593a4cfa733ac1aULL},
+        {100, LinkMode::Bidirectional, RepairMode::ShortcutsOnly,
+         0xea5ef637881f3ca8ULL, 0x1239e9755b7cfe92ULL},
+        {256, LinkMode::Unidirectional, RepairMode::AllSpaces,
+         0xf66c43ed2c18cd7eULL, 0x5f0315e87e6870dcULL},
+        {256, LinkMode::Unidirectional, RepairMode::ShortcutsOnly,
+         0xd51b3d89defe81f0ULL, 0x29de2cd499a7358aULL},
+        {256, LinkMode::Bidirectional, RepairMode::AllSpaces,
+         0xa7763e5336048e3eULL, 0x74018e9652890662ULL},
+        {256, LinkMode::Bidirectional, RepairMode::ShortcutsOnly,
+         0x74985c68362d3397ULL, 0x300b5efa08c5c179ULL},
+    };
+    for (const Case &c : cases) {
+        SFParams p = makeParams(c.n, c.n > 128 ? 8 : 4, c.mode,
+                                c.n + 11);
+        p.repairMode = c.repair;
+        StringFigure net(p);
+        std::ostringstream name;
+        name << "n" << c.n
+             << (c.mode == LinkMode::Bidirectional ? "/bidir" : "/unidir")
+             << (c.repair == RepairMode::AllSpaces ? "/all"
+                                                   : "/shortcuts");
+        const SequenceDigests got = runGateSequence(
+            net, c.n * 7 + 3, c.n > 128 ? 80 : 150, name.str());
+        EXPECT_EQ(got.results, c.results) << name.str();
+        EXPECT_EQ(got.links, c.links) << name.str();
+    }
+}
 
 } // namespace

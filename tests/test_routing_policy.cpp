@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,52 @@ TEST(RoutingPolicySeam, GreedyMatchesDirectOnDegradedTopology)
     for (const NodeId u : {5u, 6u, 21u, 40u})
         ASSERT_TRUE(topo.gate(u).applied);
     sweepSeamEquivalence(topo, 600, 0xDEAD);
+}
+
+/** Every topology and every policy answers 0 candidates at the
+ *  destination itself (Topology::routeCandidates' contract). */
+void
+expectNoCandidatesAtDestination(const net::Topology &topo,
+                                const std::string &what)
+{
+    std::vector<std::unique_ptr<RoutingPolicy>> policies;
+    for (const RoutingPolicyKind kind : kAllRoutingPolicies)
+        policies.push_back(makeRoutingPolicy(kind, topo));
+    const CongestionSnapshot none;
+    for (NodeId u = 0; u < topo.numNodes(); ++u) {
+        for (const bool first_hop : {false, true}) {
+            LinkId out[net::kMaxRouteCandidates];
+            ASSERT_EQ(topo.routeCandidates(u, u, first_hop, out), 0u)
+                << what << " node " << u;
+            for (const auto &policy : policies) {
+                ASSERT_EQ(policy->route(u, u, first_hop, none, out), 0u)
+                    << what << " " << routingPolicyName(policy->kind())
+                    << " node " << u;
+            }
+        }
+    }
+}
+
+TEST(RoutingPolicySeam, NoCandidatesAtTheDestination)
+{
+    for (const auto kind : topos::kAllKinds) {
+        for (const std::size_t n : {64, 256}) {
+            if (topos::supported(kind, n))
+                expectNoCandidatesAtDestination(
+                    *topos::makeTopology(kind, n, 7),
+                    topos::kindName(kind) + " n" + std::to_string(n));
+        }
+    }
+    for (const LinkMode mode :
+         {LinkMode::Unidirectional, LinkMode::Bidirectional}) {
+        for (const bool two_hop : {true, false}) {
+            StringFigure topo(makeParams(64, 4, mode, two_hop));
+            expectNoCandidatesAtDestination(topo, "SF variant");
+            for (const NodeId u : {5u, 6u, 21u})
+                topo.gate(u);
+            expectNoCandidatesAtDestination(topo, "degraded SF");
+        }
+    }
 }
 
 // ------------------------------------------------- ugal semantics
